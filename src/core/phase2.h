@@ -12,25 +12,17 @@
 // coloring and all RNG streams are derived per partition, so the output is
 // identical at any thread count for a fixed seed.
 //
-// RunPhase2 is the legacy whole-table entry point: it freezes a
-// SynthesisPlan (core/plan.h), streams it through the bounded-memory shard
-// executor (core/shard_executor.h) into an in-memory TableSink, and returns
-// the collected tables — bit-identical to the former monolithic
-// implementation for every (num_shards, max_resident_shards, num_threads).
+// This header holds the options and stats of that stage. The stage itself
+// runs as a frozen SynthesisPlan (core/plan.h) streamed through the
+// bounded-memory shard executor (core/shard_executor.h).
 
 #ifndef CEXTEND_CORE_PHASE2_H_
 #define CEXTEND_CORE_PHASE2_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "constraints/cardinality_constraint.h"
-#include "constraints/denial_constraint.h"
-#include "core/join_view.h"
-#include "relational/table.h"
 #include "util/deadline.h"
-#include "util/statusor.h"
 
 namespace cextend {
 
@@ -44,20 +36,6 @@ struct Phase2Options {
   /// Forces the brute-force conflict oracle instead of the indexed one
   /// (cross-checking / ablation; both yield identical colorings).
   bool use_naive_oracle = false;
-  /// Overrides ConflictOracleOptions::max_hyperedge_candidates when > 0,
-  /// for the per-combo *repair* oracles only (a repair oracle that exceeds
-  /// the cap degrades to direct bucket scans instead of failing the run;
-  /// coloring-phase oracles keep the library default, where a cap overrun
-  /// is a hard error by design).
-  size_t max_hyperedge_candidates = 0;
-  /// Partitions whose combo is a repair target hand their coloring-phase
-  /// conflict oracle to solveInvalidTuples instead of the repair pass
-  /// rebuilding a per-combo oracle over the same rows. Repair probes involve
-  /// only the repaired (extension) rows — vertices no partition oracle ever
-  /// saw — so they evaluate the DCs directly either way; results are
-  /// bit-identical with reuse on or off (equivalence-tested). Off forces the
-  /// legacy rebuild path.
-  bool reuse_repair_oracles = true;
   /// Deadline/cancellation, checked at every partition-coloring task start
   /// and per repair combo group, and forwarded into oracle construction.
   RunControl run_control;
@@ -80,19 +58,16 @@ struct Phase2Stats {
   size_t new_r2_tuples = 0;
   size_t invalid_rows = 0;
   size_t repair_oracles = 0;       ///< per-combo oracles built for repair
-  /// Repair-oracle reuse accounting: combos served by a retained
-  /// coloring-phase oracle (no rebuild), combos that rebuilt one (reuse off,
-  /// partition never colored, or oracle invalidated), and cached oracles
-  /// rejected because repair's B-cell mutations touched their rows (defensive
-  /// — mutations only hit invalid rows, which no partition contains).
+  /// Kept for existing readers of the stats: repair never reuses a
+  /// coloring-phase oracle, so `repair_oracle_cache_hits` is always 0 and
+  /// `repair_oracle_rebuilds` always equals `repair_oracles`.
   size_t repair_oracle_cache_hits = 0;
   size_t repair_oracle_rebuilds = 0;
-  size_t repair_oracle_invalidations = 0;
   /// Degradation-ladder accounting (see src/core/README.md "Resilience"):
   /// partitions whose indexed oracle build fell back to the naive oracle,
   /// product DCs materialized because the implicit-biclique family was full,
   /// and repair combo groups probed by direct DC scans because the per-combo
-  /// oracle rebuild exceeded a resource cap. Every rung preserves
+  /// oracle build exceeded a resource cap. Every rung preserves
   /// bit-identical output.
   size_t naive_oracle_fallbacks = 0;
   size_t biclique_overflows = 0;
@@ -111,23 +86,6 @@ struct Phase2Stats {
   size_t resumed_shards = 0;
   size_t manifest_commits = 0;
 };
-
-struct Phase2Result {
-  Table r1_hat;
-  Table r2_hat;
-  Phase2Stats stats;
-};
-
-/// Completes R1.FK from `v_join`. `invalid_rows` lists rows whose B cells are
-/// still NULL (phase-I invalid tuples); `ccs` guides their error-minimizing
-/// completion. `v_join` is mutated only for invalid rows (their B cells get
-/// the chosen combos so that Prop. 5.5's join identity holds on output).
-StatusOr<Phase2Result> RunPhase2(Table& v_join, const Table& r1,
-                                 const Table& r2, const PairSchema& names,
-                                 const std::vector<DenialConstraint>& dcs,
-                                 const std::vector<CardinalityConstraint>& ccs,
-                                 const std::vector<uint32_t>& invalid_rows,
-                                 const Phase2Options& options);
 
 }  // namespace cextend
 

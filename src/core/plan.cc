@@ -369,14 +369,14 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   prepared.v_join = &v_join;
   CEXTEND_ASSIGN_OR_RETURN(prepared.bound_dcs, BindAll(dcs, v_join));
 
-  prepared.is_invalid.assign(plan.num_rows, 0);
-  for (uint32_t r : plan.invalid_rows) prepared.is_invalid[r] = 1;
+  std::vector<uint8_t> is_invalid(plan.num_rows, 0);
+  for (uint32_t r : plan.invalid_rows) is_invalid[r] = 1;
 
   // Partitions over the valid rows, insertion order = first-row order —
   // identical to the monolithic partitioning pass, so the worklist (and
   // therefore every per-partition RNG stream) is unchanged.
   for (size_t r = 0; r < plan.num_rows; ++r) {
-    if (prepared.is_invalid[r]) continue;
+    if (is_invalid[r]) continue;
     const std::vector<int64_t>& combo = plan.combo_table[plan.row_combo[r]];
     auto [it, inserted] = prepared.partition_index.try_emplace(
         combo, prepared.partitions.size());

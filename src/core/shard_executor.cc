@@ -40,9 +40,8 @@ bool SubsetViolates(const Table& table, const BoundDenialConstraint& dc,
 /// Direct-evaluation twin of PartitionOracle::WouldViolate for the repair
 /// stage: true when giving `row` the same key as the bucket `members` (local
 /// ids into `rows`) violates any DC. Covers every arity uniformly;
-/// O(|bucket|^(arity-1)) per DC. Used on the oracle-reuse path (repair rows
-/// are vertices no retained oracle ever saw) and when a per-combo rebuild
-/// exceeds its resource caps.
+/// O(|bucket|^(arity-1)) per DC. The repair pass's handler for a per-combo
+/// oracle build that exceeds its resource caps.
 bool ScanWouldViolate(const Table& table,
                       const std::vector<BoundDenialConstraint>& dcs,
                       uint32_t row, const std::vector<size_t>& members,
@@ -388,9 +387,9 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
   }
 
   // Partitions whose combo is a repair target have their resolved colors
-  // retained at retirement — the only per-row state the repair stage needs,
-  // replacing the monolithic solver's whole-database color array + retained
-  // oracles (repair probes on the reuse path evaluate the DCs directly).
+  // retained at retirement — the only per-row state the repair stage needs
+  // besides the plan: it rebuilds each combo's oracle from the partition's
+  // rows, and these colors seed the same-key buckets it probes.
   const std::vector<uint8_t> is_repair_partition =
       RepairPartitionFlags(prepared);
 
@@ -530,16 +529,15 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
 
   // ---- solveInvalidTuples pass 2, retired as the final shard. ----
   // Runs serially after every partition shard (its fresh keys extend the
-  // global sequence); per touched combo, probe candidate keys for each
-  // repaired row against the current same-key bucket. The conflict source is
-  // the retained-colors reuse path (probes evaluate the DCs directly — the
-  // repaired rows are vertices no coloring oracle ever saw), a freshly built
-  // per-combo oracle, or direct scans when a rebuild trips a resource cap.
-  // All three answer the identical question, so the chosen keys are
-  // bit-identical across them (equivalence-tested). Skipped entirely when the
-  // resume state says the repair shard already retired — then only the sink
-  // trailer below is (re)written, healing a crash between the repair commit
-  // and the trailer.
+  // global sequence); per touched combo, build one conflict oracle over the
+  // combo's partition rows plus the repaired rows and probe candidate keys
+  // for each repaired row against the current same-key bucket. A build that
+  // exceeds a resource cap (or the phase2.repair_oracle fault) degrades the
+  // group to direct ScanWouldViolate probes, which answer the identical
+  // question, so the chosen keys are bit-identical (equivalence-tested).
+  // Skipped entirely when the resume state says the repair shard already
+  // retired — then only the sink trailer below is (re)written, healing a
+  // crash between the repair commit and the trailer.
   if (!resume.repair_done) {
     ScopedTimer timer(&stats.invalid_seconds);
     ResolvedShard repair;
@@ -552,46 +550,20 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       repair_oracle_options.force_naive = options.use_naive_oracle;
       repair_oracle_options.pool = pool.get();
       repair_oracle_options.run_control = options.run_control;
-      if (options.max_hyperedge_candidates > 0) {
-        repair_oracle_options.max_hyperedge_candidates =
-            options.max_hyperedge_candidates;
-      }
       for (const auto& [combo_id, group] : prepared.repair_groups) {
         CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
         const std::vector<int64_t>& combo =
             prepared.combos.combo_codes(combo_id);
         std::vector<uint32_t> oracle_rows;
-        bool partition_exists = false;
         auto pit = prepared.partition_index.find(combo);
         if (pit != prepared.partition_index.end()) {
           oracle_rows = prepared.partitions[pit->second].rows;
-          partition_exists = true;
         }
         size_t num_colored = oracle_rows.size();
         oracle_rows.insert(oracle_rows.end(), group.begin(), group.end());
-        // Reuse rung: the combo's partition was colored, so its resolved
-        // colors are retained and no per-combo oracle rebuild is needed
-        // (random assignment never built one, so it always rebuilds).
-        bool use_cached = partition_exists && options.reuse_repair_oracles &&
-                          !options.random_assignment;
-        if (use_cached) {
-          // Invalidation: repair's B-cell writes only ever touched invalid
-          // rows (in the planner), and partitions never contain invalid
-          // rows; the check is the protocol's safety net should that
-          // invariant ever move.
-          for (size_t v = 0; v < num_colored; ++v) {
-            if (prepared.is_invalid[oracle_rows[v]]) {
-              use_cached = false;
-              ++stats.repair_oracle_invalidations;
-              break;
-            }
-          }
-        }
-        std::unique_ptr<PartitionOracle> rebuilt;
-        if (use_cached) {
-          ++stats.repair_oracle_cache_hits;
-        } else if (CEXTEND_INJECT_FAULT("phase2.repair_oracle")) {
-          // Simulated rebuild resource exhaustion: the group degrades to
+        std::unique_ptr<PartitionOracle> oracle;
+        if (CEXTEND_INJECT_FAULT("phase2.repair_oracle")) {
+          // Simulated build resource exhaustion: the group degrades to
           // direct ScanWouldViolate probes (oracle-probe→scan-probe rung).
           ++stats.scan_probe_repairs;
         } else {
@@ -604,7 +576,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
             return oracle_or.status();
           }
           if (oracle_or.ok()) {
-            rebuilt = std::move(oracle_or).value();
+            oracle = std::move(oracle_or).value();
             ++stats.repair_oracles;
             ++stats.repair_oracle_rebuilds;
             if (build_info.naive_fallback) ++stats.naive_oracle_fallbacks;
@@ -626,8 +598,8 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
             auto it = bucket.find(key);
             bool ok =
                 it == bucket.end() ||
-                (rebuilt != nullptr
-                     ? !rebuilt->WouldViolate(local, it->second)
+                (oracle != nullptr
+                     ? !oracle->WouldViolate(local, it->second)
                      : !ScanWouldViolate(v_join, prepared.bound_dcs, row,
                                          it->second, oracle_rows));
             if (ok) {

@@ -20,9 +20,9 @@ Phase2Options EffectivePhase2Options(const SolverOptions& options) {
   return phase2;
 }
 
-/// Shared tail of the execution entry points: folds planning timings and the
-/// executed phase-2 stats into the solve record and moves the collected
-/// tables out of the sink.
+/// Shared tail of the execution entry points: folds planning and prepare
+/// timings and the executed phase-2 stats into the solve record and moves the
+/// collected tables out of the sink.
 Solution FinishSolution(PlannedCExtension&& planned, SolveStats stats,
                         Phase2Stats phase2_stats,
                         const Phase2Options& phase2_options,
@@ -115,6 +115,7 @@ StatusOr<Solution> ExecuteCExtensionPlan(
   CEXTEND_ASSIGN_OR_RETURN(
       PreparedPlan prepared,
       PreparePlan(planned.plan, planned.v_join, r2, names, dcs));
+  stats.phase2.partition_seconds += phase2_watch.ElapsedSeconds();
   TableSink table_sink(r1, r2, names);
   TeeSink tee_sink(&table_sink, tee);
   RowSink* sink = tee != nullptr ? static_cast<RowSink*>(&tee_sink)
@@ -139,6 +140,7 @@ StatusOr<Solution> ExecuteCExtensionPlanDurable(
   CEXTEND_ASSIGN_OR_RETURN(
       PreparedPlan prepared,
       PreparePlan(planned.plan, planned.v_join, r2, names, dcs));
+  stats.phase2.partition_seconds += phase2_watch.ElapsedSeconds();
   TableSink table_sink(r1, r2, names);
   CEXTEND_ASSIGN_OR_RETURN(
       Phase2Stats phase2_stats,

@@ -27,13 +27,13 @@ std::string SolveStats::BreakdownTable() const {
 std::string SolveStats::Summary() const {
   std::string out = StrFormat(
       "total=%s phase1=%s phase2=%s ccs(hasse=%zu ilp=%zu) invalid=%zu "
-      "new_r2=%zu skipped=%zu repair_oracle(hit=%zu rebuild=%zu inval=%zu)",
+      "new_r2=%zu skipped=%zu repair(oracles=%zu scan=%zu)",
       FormatDuration(total_seconds).c_str(),
       FormatDuration(phase1_seconds).c_str(),
       FormatDuration(phase2_seconds).c_str(), phase1.ccs_to_hasse,
       phase1.ccs_to_ilp, invalid_tuples, phase2.new_r2_tuples,
-      phase2.skipped_vertices, phase2.repair_oracle_cache_hits,
-      phase2.repair_oracle_rebuilds, phase2.repair_oracle_invalidations);
+      phase2.skipped_vertices, phase2.repair_oracles,
+      phase2.scan_probe_repairs);
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",
                    phase2.peak_resident_bytes, phase2.shards_emitted,
                    phase2.max_shards_in_flight);

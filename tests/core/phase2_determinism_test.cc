@@ -11,10 +11,13 @@
 
 #include "core/phase2.h"
 #include "test_util.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace cextend {
 namespace {
+
+using testing_fixtures::Phase2Tables;
 
 struct Instance {
   Table persons;
@@ -100,18 +103,19 @@ Instance MakeInstance() {
                   std::move(v_join),        std::move(invalid)};
 }
 
-Phase2Result RunAt(const Instance& instance, size_t threads,
-                   bool random_assignment = false,
-                   bool reuse_repair_oracles = true) {
-  Table v_join = instance.v_join.Clone();  // RunPhase2 mutates invalid rows
+/// `scan_repairs` arms the phase2.repair_oracle fault, so every repair
+/// combo group takes the ScanWouldViolate fallback instead of an oracle.
+Phase2Tables RunAt(const Instance& instance, size_t threads,
+                   bool random_assignment = false, bool scan_repairs = false) {
+  Table v_join = instance.v_join.Clone();  // planning mutates invalid rows
   Phase2Options options;
   options.num_threads = threads;
   options.seed = 9;
   options.random_assignment = random_assignment;
-  options.reuse_repair_oracles = reuse_repair_oracles;
-  auto result =
-      RunPhase2(v_join, instance.persons, instance.housing, instance.names,
-                instance.dcs, {}, instance.invalid, options);
+  ScopedFaults faults(scan_repairs ? "phase2.repair_oracle" : "");
+  auto result = testing_fixtures::ExecutePhase2(
+      v_join, instance.persons, instance.housing, instance.names, instance.dcs,
+      {}, instance.invalid, options);
   CEXTEND_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
 }
@@ -129,14 +133,14 @@ void ExpectTablesEqual(const Table& a, const Table& b, const char* what) {
 
 TEST(Phase2DeterminismTest, SameSeedIdenticalAcrossThreadCounts) {
   Instance instance = MakeInstance();
-  Phase2Result t1 = RunAt(instance, 1);
+  Phase2Tables t1 = RunAt(instance, 1);
   // Crowded partitions must actually exercise fresh-key allocation — without
   // skips this test would vacuously pass.
   EXPECT_GT(t1.stats.skipped_vertices, 0u);
   EXPECT_GT(t1.stats.new_r2_tuples, 0u);
   EXPECT_GT(t1.stats.invalid_rows, 0u);
   for (size_t threads : {size_t{2}, size_t{8}}) {
-    Phase2Result tn = RunAt(instance, threads);
+    Phase2Tables tn = RunAt(instance, threads);
     ExpectTablesEqual(t1.r1_hat, tn.r1_hat, "r1_hat");
     ExpectTablesEqual(t1.r2_hat, tn.r2_hat, "r2_hat");
     EXPECT_EQ(t1.stats.skipped_vertices, tn.stats.skipped_vertices);
@@ -146,37 +150,39 @@ TEST(Phase2DeterminismTest, SameSeedIdenticalAcrossThreadCounts) {
 
 TEST(Phase2DeterminismTest, RepeatedRunsAreStable) {
   Instance instance = MakeInstance();
-  Phase2Result first = RunAt(instance, 8);
+  Phase2Tables first = RunAt(instance, 8);
   for (int trial = 0; trial < 3; ++trial) {
-    Phase2Result again = RunAt(instance, 8);
+    Phase2Tables again = RunAt(instance, 8);
     ExpectTablesEqual(first.r1_hat, again.r1_hat, "r1_hat");
     ExpectTablesEqual(first.r2_hat, again.r2_hat, "r2_hat");
   }
 }
 
-TEST(Phase2DeterminismTest, RepairOracleReuseMatchesRebuildAtAnyThreadCount) {
-  // solveInvalidTuples with retained coloring-phase oracles must choose the
-  // exact keys the legacy per-combo rebuild chooses — at every thread count.
+TEST(Phase2DeterminismTest, RepairScanFallbackMatchesOracleAtAnyThreadCount) {
+  // solveInvalidTuples probing by direct DC scans (the fallback for a
+  // per-combo oracle build that exhausts a resource cap) must choose the
+  // exact keys the per-combo oracle chooses — at every thread count, with
+  // the fixture's arity-3 DC in play.
+  if (!FaultInjection::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out";
+  }
   Instance instance = MakeInstance();
-  Phase2Result rebuild = RunAt(instance, 1, /*random_assignment=*/false,
-                               /*reuse_repair_oracles=*/false);
-  // The legacy path must actually rebuild (else the comparison is vacuous)
-  // and never count cache activity.
-  EXPECT_GT(rebuild.stats.repair_oracle_rebuilds, 0u);
-  EXPECT_EQ(rebuild.stats.repair_oracle_cache_hits, 0u);
+  Phase2Tables reference = RunAt(instance, 1);
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    Phase2Result reuse = RunAt(instance, threads, /*random_assignment=*/false,
-                               /*reuse_repair_oracles=*/true);
-    ExpectTablesEqual(rebuild.r1_hat, reuse.r1_hat, "r1_hat");
-    ExpectTablesEqual(rebuild.r2_hat, reuse.r2_hat, "r2_hat");
-    // Reuse must actually serve combos from retained oracles, and the
-    // defensive invalidation scan must never fire: repair mutates only
-    // invalid rows, which no partition contains.
-    EXPECT_GT(reuse.stats.repair_oracle_cache_hits, 0u);
-    EXPECT_EQ(reuse.stats.repair_oracle_invalidations, 0u);
-    EXPECT_LT(reuse.stats.repair_oracle_rebuilds,
-              rebuild.stats.repair_oracle_rebuilds +
-                  rebuild.stats.repair_oracle_cache_hits);
+    for (bool scan : {false, true}) {
+      Phase2Tables run = RunAt(instance, threads, /*random_assignment=*/false,
+                               /*scan_repairs=*/scan);
+      ExpectTablesEqual(reference.r1_hat, run.r1_hat, "r1_hat");
+      ExpectTablesEqual(reference.r2_hat, run.r2_hat, "r2_hat");
+      // Each run must take the path it names, else the comparison is vacuous.
+      if (scan) {
+        EXPECT_GT(run.stats.scan_probe_repairs, 0u);
+        EXPECT_EQ(run.stats.repair_oracles, 0u);
+      } else {
+        EXPECT_GT(run.stats.repair_oracles, 0u);
+        EXPECT_EQ(run.stats.scan_probe_repairs, 0u);
+      }
+    }
   }
 }
 
@@ -184,8 +190,8 @@ TEST(Phase2DeterminismTest, RandomAssignmentMatchesAcrossThreadCounts) {
   // The baseline mode draws keys from the per-partition RNG streams; the
   // serial path must derive them exactly like the parallel path.
   Instance instance = MakeInstance();
-  Phase2Result t1 = RunAt(instance, 1, /*random_assignment=*/true);
-  Phase2Result t4 = RunAt(instance, 4, /*random_assignment=*/true);
+  Phase2Tables t1 = RunAt(instance, 1, /*random_assignment=*/true);
+  Phase2Tables t4 = RunAt(instance, 4, /*random_assignment=*/true);
   ExpectTablesEqual(t1.r1_hat, t4.r1_hat, "r1_hat");
   ExpectTablesEqual(t1.r2_hat, t4.r2_hat, "r2_hat");
 }

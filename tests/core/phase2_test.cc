@@ -6,18 +6,21 @@
 #include "core/conflict.h"
 #include "core/hybrid.h"
 #include "test_util.h"
+#include "util/fault_injection.h"
 
 namespace cextend {
 namespace {
 
+using testing_fixtures::ExecutePhase2;
 using testing_fixtures::MakePaperExample;
 using testing_fixtures::PaperExample;
+using testing_fixtures::Phase2Tables;
 
 /// Runs phase I (hybrid) then phase II on the paper example and returns the
 /// phase-II result alongside the completed view.
 struct FullRun {
   Table v_join;
-  Phase2Result phase2;
+  Phase2Tables phase2;
 };
 
 FullRun RunBoth(const PaperExample& ex, const Phase2Options& p2_options) {
@@ -27,8 +30,8 @@ FullRun RunBoth(const PaperExample& ex, const Phase2Options& p2_options) {
   HybridOptions options;
   auto phase1 = RunHybridPhase1(v_join, ex.housing, ex.names, ex.ccs, ex.dcs, options);
   CEXTEND_CHECK(phase1.ok());
-  auto phase2 = RunPhase2(v_join, ex.persons, ex.housing, ex.names, ex.dcs,
-                          ex.ccs, phase1->invalid_rows, p2_options);
+  auto phase2 = ExecutePhase2(v_join, ex.persons, ex.housing, ex.names,
+                              ex.dcs, ex.ccs, phase1->invalid_rows, p2_options);
   CEXTEND_CHECK(phase2.ok()) << phase2.status().ToString();
   return FullRun{std::move(v_join), std::move(phase2).value()};
 }
@@ -76,8 +79,8 @@ TEST(Phase2Test, NewR2TuplesCarryComboValues) {
   auto phase1 =
       RunHybridPhase1(v_join, small_housing, ex.names, ex.ccs, ex.dcs, p1);
   ASSERT_TRUE(phase1.ok());
-  auto phase2 = RunPhase2(v_join, ex.persons, small_housing, ex.names, ex.dcs,
-                          ex.ccs, phase1->invalid_rows, {});
+  auto phase2 = ExecutePhase2(v_join, ex.persons, small_housing, ex.names,
+                              ex.dcs, ex.ccs, phase1->invalid_rows, {});
   ASSERT_TRUE(phase2.ok());
   EXPECT_GT(phase2->stats.new_r2_tuples, 0u);
   EXPECT_EQ(phase2->r2_hat.NumRows(),
@@ -109,8 +112,8 @@ TEST(Phase2Test, RandomAssignmentIgnoresDcs) {
   Phase2Options p2;
   p2.random_assignment = true;
   p2.seed = 11;
-  auto phase2 = RunPhase2(v_join, ex.persons, two_homes, ex.names, ex.dcs, {},
-                          phase1->invalid_rows, p2);
+  auto phase2 = ExecutePhase2(v_join, ex.persons, two_homes, ex.names,
+                              ex.dcs, {}, phase1->invalid_rows, p2);
   ASSERT_TRUE(phase2.ok());
   auto dc_report = EvaluateDcError(ex.dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(dc_report.ok());
@@ -153,11 +156,17 @@ TEST(Phase2Test, IndexedAndNaiveOraclesProduceIdenticalOutput) {
             naive.phase2.stats.skipped_vertices);
 }
 
-TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
-  // Regression: the old solveInvalidTuples only conflict-checked DCs of
-  // arity == 3, so an arity-4 DC let repaired rows pile into one key. Five
-  // "Senior" rows (all invalid) and a 4-ary "no four seniors share a house"
-  // DC must spread across >= 2 houses.
+/// Five "Senior" rows, all invalid, three candidate houses in one area, and
+/// a 4-ary "no four seniors share a house" DC.
+struct SeniorsInstance {
+  Table persons;
+  Table housing;
+  PairSchema names;
+  std::vector<DenialConstraint> dcs;
+  Table v_join;
+};
+
+SeniorsInstance MakeSeniorsInstance() {
   Schema persons_schema{{"pid", DataType::kInt64},
                         {"Rel", DataType::kString},
                         {"hid", DataType::kInt64}};
@@ -172,7 +181,7 @@ TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
     CEXTEND_CHECK(housing.AppendRow({Value(h), Value("X")}).ok());
   }
   auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
-  ASSERT_TRUE(names.ok());
+  CEXTEND_CHECK(names.ok());
   DenialConstraint dc(4, "no-4-seniors");
   for (int var = 0; var < 4; ++var) {
     dc.Unary(var, "Rel", CompareOp::kEq, Value("Senior"));
@@ -180,56 +189,47 @@ TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
   std::vector<DenialConstraint> dcs;
   dcs.push_back(std::move(dc));
   auto v = MakeJoinView(persons, housing, names.value());
-  ASSERT_TRUE(v.ok());
-  Table v_join = std::move(v).value();
-  std::vector<uint32_t> invalid = {0, 1, 2, 3, 4};
-  auto phase2 = RunPhase2(v_join, persons, housing, names.value(), dcs, {},
-                          invalid, {});
+  CEXTEND_CHECK(v.ok());
+  return SeniorsInstance{std::move(persons), std::move(housing),
+                         std::move(names).value(), std::move(dcs),
+                         std::move(v).value()};
+}
+
+TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
+  // Regression: the old solveInvalidTuples only conflict-checked DCs of
+  // arity == 3, so an arity-4 DC let repaired rows pile into one key. The
+  // five seniors must spread across >= 2 houses.
+  SeniorsInstance in = MakeSeniorsInstance();
+  auto phase2 = ExecutePhase2(in.v_join, in.persons, in.housing, in.names,
+                              in.dcs, {}, {0, 1, 2, 3, 4}, {});
   ASSERT_TRUE(phase2.ok()) << phase2.status().ToString();
-  auto report = EvaluateDcError(dcs, phase2->r1_hat, "hid");
+  EXPECT_EQ(phase2->stats.repair_oracles, 1u);
+  EXPECT_EQ(phase2->stats.scan_probe_repairs, 0u);
+  auto report = EvaluateDcError(in.dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->num_violations, 0u) << report->Summary();
   EXPECT_EQ(report->error, 0.0);
   auto mismatches = CountJoinMismatches(phase2->r1_hat, "hid", phase2->r2_hat,
-                                        "hid", v_join, {"Area"});
+                                        "hid", in.v_join, {"Area"});
   ASSERT_TRUE(mismatches.ok()) << mismatches.status();
   EXPECT_EQ(mismatches.value(), 0u);
 }
 
 TEST(Phase2Test, InvalidTupleRepairFallsBackWhenOracleCapped) {
-  // With the hyperedge-candidate cap forced to 1, the per-combo repair
-  // oracle cannot be built; repair must degrade to the direct bucket scan
-  // (which also covers arity 4) instead of failing the run.
-  Schema persons_schema{{"pid", DataType::kInt64},
-                        {"Rel", DataType::kString},
-                        {"hid", DataType::kInt64}};
-  Table persons{persons_schema};
-  for (int64_t i = 1; i <= 5; ++i) {
-    CEXTEND_CHECK(
-        persons.AppendRow({Value(i), Value("Senior"), Value::Null()}).ok());
+  // The phase2.repair_oracle fault simulates a per-combo repair oracle build
+  // that exhausts a resource cap; repair must degrade to the direct bucket
+  // scan (which also covers arity 4) instead of failing the run.
+  if (!FaultInjection::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out";
   }
-  Schema housing_schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}};
-  Table housing{housing_schema};
-  for (int64_t h = 1; h <= 3; ++h) {
-    CEXTEND_CHECK(housing.AppendRow({Value(h), Value("X")}).ok());
-  }
-  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
-  ASSERT_TRUE(names.ok());
-  DenialConstraint dc(4, "no-4-seniors");
-  for (int var = 0; var < 4; ++var) {
-    dc.Unary(var, "Rel", CompareOp::kEq, Value("Senior"));
-  }
-  std::vector<DenialConstraint> dcs;
-  dcs.push_back(std::move(dc));
-  auto v = MakeJoinView(persons, housing, names.value());
-  ASSERT_TRUE(v.ok());
-  Table v_join = std::move(v).value();
-  Phase2Options options;
-  options.max_hyperedge_candidates = 1;
-  auto phase2 = RunPhase2(v_join, persons, housing, names.value(), dcs, {},
-                          {0, 1, 2, 3, 4}, options);
+  SeniorsInstance in = MakeSeniorsInstance();
+  ScopedFaults faults("phase2.repair_oracle");
+  auto phase2 = ExecutePhase2(in.v_join, in.persons, in.housing, in.names,
+                              in.dcs, {}, {0, 1, 2, 3, 4}, {});
   ASSERT_TRUE(phase2.ok()) << phase2.status().ToString();
-  auto report = EvaluateDcError(dcs, phase2->r1_hat, "hid");
+  EXPECT_EQ(phase2->stats.repair_oracles, 0u);
+  EXPECT_EQ(phase2->stats.scan_probe_repairs, 1u);
+  auto report = EvaluateDcError(in.dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->num_violations, 0u) << report->Summary();
 }

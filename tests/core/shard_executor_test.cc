@@ -27,6 +27,9 @@
 namespace cextend {
 namespace {
 
+using testing_fixtures::ExecutePhase2;
+using testing_fixtures::Phase2Tables;
+
 struct Instance {
   Table persons;
   Table housing;
@@ -294,7 +297,7 @@ TEST(ShardExecutorTest, StreamBytesIndependentOfShardGeometry) {
   }
 }
 
-TEST(ShardExecutorTest, RunPhase2TablesIndependentOfShardGeometry) {
+TEST(ShardExecutorTest, CollectedTablesIndependentOfShardGeometry) {
   Instance instance = MakeInstance();
   auto run = [&](size_t shards, size_t max_resident, size_t threads) {
     Table v_join = instance.v_join.Clone();
@@ -304,12 +307,13 @@ TEST(ShardExecutorTest, RunPhase2TablesIndependentOfShardGeometry) {
     options.num_shards = shards;
     options.max_resident_shards = max_resident;
     auto result =
-        RunPhase2(v_join, instance.persons, instance.housing, instance.names,
-                  instance.dcs, {}, instance.invalid, options);
+        ExecutePhase2(v_join, instance.persons, instance.housing,
+                      instance.names, instance.dcs, {}, instance.invalid,
+                      options);
     CEXTEND_CHECK(result.ok()) << result.status().ToString();
     return std::move(result).value();
   };
-  Phase2Result mono = run(1, 0, 1);
+  Phase2Tables mono = run(1, 0, 1);
   EXPECT_GT(mono.stats.skipped_vertices, 0u);
   EXPECT_GT(mono.stats.new_r2_tuples, 0u);
   EXPECT_EQ(mono.stats.shards_emitted, 1u);
@@ -318,7 +322,7 @@ TEST(ShardExecutorTest, RunPhase2TablesIndependentOfShardGeometry) {
         {8, 2, 8},
         {0, 0, 8},
         {3, 1, 2}}) {
-    Phase2Result sharded = run(shards, max_resident, threads);
+    Phase2Tables sharded = run(shards, max_resident, threads);
     ExpectTablesEqual(mono.r1_hat, sharded.r1_hat, "r1_hat");
     ExpectTablesEqual(mono.r2_hat, sharded.r2_hat, "r2_hat");
     EXPECT_EQ(mono.stats.skipped_vertices, sharded.stats.skipped_vertices);
@@ -336,8 +340,9 @@ TEST(ShardExecutorTest, BoundedAdmissionCapsResidencyBelowMonolithic) {
     options.num_shards = shards;
     options.max_resident_shards = max_resident;
     auto result =
-        RunPhase2(v_join, instance.persons, instance.housing, instance.names,
-                  instance.dcs, {}, instance.invalid, options);
+        ExecutePhase2(v_join, instance.persons, instance.housing,
+                      instance.names, instance.dcs, {}, instance.invalid,
+                      options);
     CEXTEND_CHECK(result.ok()) << result.status().ToString();
     return result.value().stats;
   };

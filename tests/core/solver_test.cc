@@ -1,8 +1,12 @@
 #include "core/solver.h"
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
+#include "core/stream_checkpoint.h"
 #include "test_util.h"
 
 namespace cextend {
@@ -81,6 +85,31 @@ TEST(SolverTest, DcOnlyInstanceKeepsDcErrorZero) {
   auto dc_report = EvaluateDcError(ex.dcs, solution->r1_hat, "hid");
   ASSERT_TRUE(dc_report.ok());
   EXPECT_EQ(dc_report->error, 0.0);
+}
+
+TEST(SolverTest, ExecutionCountsPrepareTimeAsPartitioning) {
+  // Both execution entry points fold PreparePlan's time into the
+  // "Partitioning" breakdown row on top of the planner's layout time.
+  PaperExample ex = MakePaperExample();
+  const std::string stream_path = ::testing::TempDir() + "/cextend_solver.s";
+  const DurableStreamSpec spec{stream_path, stream_path + ".manifest", false};
+  for (bool durable : {false, true}) {
+    auto planned =
+        PlanCExtension(ex.persons, ex.housing, ex.names, ex.ccs, ex.dcs, {});
+    ASSERT_TRUE(planned.ok()) << planned.status();
+    const double planned_seconds = planned->stats.phase2.partition_seconds;
+    auto solution =
+        durable ? ExecuteCExtensionPlanDurable(std::move(planned).value(),
+                                               ex.persons, ex.housing, ex.names,
+                                               ex.dcs, spec, {})
+                : ExecuteCExtensionPlan(std::move(planned).value(), ex.persons,
+                                        ex.housing, ex.names, ex.dcs, {});
+    ASSERT_TRUE(solution.ok()) << solution.status();
+    EXPECT_GT(solution->stats.phase2.partition_seconds, planned_seconds)
+        << (durable ? "durable" : "plain");
+  }
+  std::remove(spec.stream_path.c_str());
+  std::remove(spec.manifest_path.c_str());
 }
 
 TEST(SolverTest, ValidatesSchema) {

@@ -26,6 +26,7 @@
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
 #include "ilp/branch_and_bound.h"
+#include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 
@@ -153,9 +154,9 @@ uint64_t FireInCensusSolve(const std::string& site) {
   return FaultInjection::Global().FiredCount(site);
 }
 
-/// The repair-oracle rebuild site only runs when the plan has invalid rows
-/// (repair groups) and oracle reuse is off — driven through RunPhase2 with
-/// explicit invalid rows, like the phase-2 determinism fixture.
+/// The repair-oracle build site only runs when the plan has invalid rows
+/// (repair groups) — driven through plan → prepare → execute with explicit
+/// invalid rows, like the phase-2 determinism fixture.
 uint64_t FireInRepairStage() {
   Schema persons_schema{{"pid", DataType::kInt64},
                         {"Age", DataType::kInt64},
@@ -206,9 +207,8 @@ uint64_t FireInRepairStage() {
   ScopedFaults faults("phase2.repair_oracle", /*seed=*/47);
   Phase2Options options;
   options.seed = 9;
-  options.reuse_repair_oracles = false;
-  auto ignored = RunPhase2(v_join, persons, housing, names.value(), dcs, {},
-                           invalid, options);
+  auto ignored = testing_fixtures::ExecutePhase2(
+      v_join, persons, housing, names.value(), dcs, {}, invalid, options);
   (void)ignored;
   return FaultInjection::Global().FiredCount("phase2.repair_oracle");
 }

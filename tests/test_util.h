@@ -4,13 +4,18 @@
 #ifndef CEXTEND_TESTS_TEST_UTIL_H_
 #define CEXTEND_TESTS_TEST_UTIL_H_
 
+#include <utility>
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
 #include "constraints/denial_constraint.h"
 #include "core/join_view.h"
+#include "core/phase2.h"
+#include "core/plan.h"
+#include "core/shard_executor.h"
 #include "relational/table.h"
 #include "util/logging.h"
+#include "util/statusor.h"
 
 namespace cextend {
 namespace testing_fixtures {
@@ -132,6 +137,37 @@ inline PaperExample MakePaperExample() {
     ex.dcs.push_back(std::move(dc));
   }
   return ex;
+}
+
+/// Phase II's output tables and stats.
+struct Phase2Tables {
+  Table r1_hat;
+  Table r2_hat;
+  Phase2Stats stats;
+};
+
+/// Phase II on a phase-I-completed join view through the public pipeline:
+/// BuildSynthesisPlan (whose repair selection writes the invalid rows' B
+/// cells into `v_join`) → PreparePlan → ExecutePlan into a TableSink.
+inline StatusOr<Phase2Tables> ExecutePhase2(
+    Table& v_join, const Table& r1, const Table& r2, const PairSchema& names,
+    const std::vector<DenialConstraint>& dcs,
+    const std::vector<CardinalityConstraint>& ccs,
+    const std::vector<uint32_t>& invalid_rows, const Phase2Options& options) {
+  SynthesisPlanOptions plan_options;
+  plan_options.seed = options.seed;
+  plan_options.num_shards = options.num_shards;
+  plan_options.num_threads_hint = options.num_threads;
+  CEXTEND_ASSIGN_OR_RETURN(
+      SynthesisPlan plan, BuildSynthesisPlan(v_join, r2, names, ccs,
+                                             invalid_rows, plan_options));
+  CEXTEND_ASSIGN_OR_RETURN(PreparedPlan prepared,
+                           PreparePlan(plan, v_join, r2, names, dcs));
+  TableSink sink(r1, r2, names);
+  CEXTEND_ASSIGN_OR_RETURN(Phase2Stats stats,
+                           ExecutePlan(prepared, options, &sink));
+  return Phase2Tables{std::move(sink.r1_hat()), std::move(sink.r2_hat()),
+                      stats};
 }
 
 }  // namespace testing_fixtures
