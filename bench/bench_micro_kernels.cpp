@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: simplex
 // LP solves, conflict-oracle construction, greedy list coloring, CC pairwise
-// classification, and binning.
+// classification, binning, and the DC output check.
 //
 // Every per-size run additionally appends one JSON-lines record
 //   {"kernel": "<name>", "n": <arg>, "seconds": <time per iteration>}
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <string>
 
+#include "constraints/metrics.h"
 #include "constraints/relationship.h"
 #include "core/binning.h"
 #include "core/conflict.h"
@@ -289,6 +290,42 @@ void BM_InvalidRepairScanProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_InvalidRepairScanProbe)
     ->Arg(64)->Arg(256)->Arg(1024)->Complexity();
+
+// ---- Output verification: the DC check on one skewed FK group. ----
+//
+// First-fit coloring piles rows that conflict with nothing onto one key, so
+// census output holds groups like one owner plus thousands of children.
+// EvaluateDcError over S_all_DC must stay linear in such a group: a return
+// to enumerating all same-FK pairs costs Θ(n²) per DC.
+
+void BM_DcCheckSkewedGroup(benchmark::State& state) {
+  size_t children = static_cast<size_t>(state.range(0));
+  Rng rng(37);
+  Schema schema{{"Age", DataType::kInt64},
+                {"Rel", DataType::kString},
+                {"MultiLing", DataType::kInt64},
+                {"hid", DataType::kInt64}};
+  Table t{schema};
+  CEXTEND_CHECK(t.AppendRow({Value(int64_t{45}), Value(datagen::kOwner),
+                             Value(int64_t{0}), Value(int64_t{1})})
+                    .ok());
+  for (size_t i = 0; i < children; ++i) {
+    // Ages 0-30 keep every child within the owner's [A-69, A-12] window.
+    CEXTEND_CHECK(t.AppendRow({Value(rng.UniformInt(0, 30)),
+                               Value(datagen::kBioChild),
+                               Value(rng.UniformInt(0, 1)), Value(int64_t{1})})
+                      .ok());
+  }
+  std::vector<DenialConstraint> dcs =
+      datagen::MakeCensusDcs(/*good_only=*/false);
+  for (auto _ : state) {
+    auto report = EvaluateDcError(dcs, t, "hid");
+    CEXTEND_CHECK(report.ok() && report->num_violations == 0);
+    benchmark::DoNotOptimize(report->num_violating_tuples);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_DcCheckSkewedGroup)->Arg(4000);
 
 // ---- Simplex on random dense feasible LPs. ----
 void BM_SimplexRandomLp(benchmark::State& state) {

@@ -4,11 +4,16 @@
 #ifndef CEXTEND_TESTS_TEST_UTIL_H_
 #define CEXTEND_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "constraints/cardinality_constraint.h"
 #include "constraints/denial_constraint.h"
+#include "constraints/metrics.h"
 #include "core/join_view.h"
 #include "core/phase2.h"
 #include "core/plan.h"
@@ -168,6 +173,108 @@ inline StatusOr<Phase2Tables> ExecutePhase2(
                            ExecutePlan(prepared, options, &sink));
   return Phase2Tables{std::move(sink.r1_hat()), std::move(sink.r2_hat()),
                       stats};
+}
+
+/// Enumerates all k-subsets of `group`, invoking `fn(subset)`; stops early
+/// when `fn` returns false.
+inline bool ForEachSubset(
+    const std::vector<uint32_t>& group, size_t k,
+    const std::function<bool(const std::vector<uint32_t>&)>& fn) {
+  std::vector<size_t> idx(k);
+  for (size_t i = 0; i < k; ++i) idx[i] = i;
+  if (group.size() < k) return true;
+  std::vector<uint32_t> subset(k);
+  for (;;) {
+    for (size_t i = 0; i < k; ++i) subset[i] = group[idx[i]];
+    if (!fn(subset)) return false;
+    // Advance combination.
+    size_t i = k;
+    while (i > 0) {
+      --i;
+      if (idx[i] != i + group.size() - k) {
+        ++idx[i];
+        for (size_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
+        break;
+      }
+      if (i == 0) return true;
+    }
+  }
+}
+
+/// Brute-force oracle for EvaluateDcError: every arity-sized subset of every
+/// FK group goes through BodyHoldsUnordered. Θ(g^arity) per group, so only
+/// for small tables.
+inline StatusOr<DcErrorReport> BruteForceDcError(
+    const std::vector<DenialConstraint>& dcs, const Table& r1,
+    const std::string& fk_column) {
+  DcErrorReport report;
+  report.num_tuples = r1.NumRows();
+  auto fk_idx = r1.schema().IndexOf(fk_column);
+  if (!fk_idx.has_value()) {
+    return Status::InvalidArgument("no FK column " + fk_column);
+  }
+  CEXTEND_ASSIGN_OR_RETURN(std::vector<BoundDenialConstraint> bound,
+                           BindAll(dcs, r1));
+  // Rows sorted by FK; NULL FK rows share an FK with nothing.
+  std::vector<std::pair<int64_t, uint32_t>> keyed;
+  for (size_t r = 0; r < r1.NumRows(); ++r) {
+    int64_t fk = r1.GetCode(r, *fk_idx);
+    if (fk != kNullCode) keyed.emplace_back(fk, static_cast<uint32_t>(r));
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<uint8_t> violating(r1.NumRows(), 0);
+  for (size_t begin = 0; begin < keyed.size();) {
+    size_t end = begin;
+    std::vector<uint32_t> rows;
+    while (end < keyed.size() && keyed[end].first == keyed[begin].first) {
+      rows.push_back(keyed[end++].second);
+    }
+    for (const BoundDenialConstraint& dc : bound) {
+      ForEachSubset(rows, static_cast<size_t>(dc.arity()),
+                    [&](const std::vector<uint32_t>& subset) {
+                      if (dc.BodyHoldsUnordered(r1, subset)) {
+                        ++report.num_violations;
+                        for (uint32_t row : subset) violating[row] = 1;
+                      }
+                      return true;
+                    });
+    }
+    begin = end;
+  }
+  for (uint8_t v : violating) report.num_violating_tuples += v;
+  report.error = report.num_tuples == 0
+                     ? 0.0
+                     : static_cast<double>(report.num_violating_tuples) /
+                           static_cast<double>(report.num_tuples);
+  return report;
+}
+
+/// Brute-force oracle for EvaluateCcError: one full CountMatches scan of the
+/// join view per CC.
+inline StatusOr<CcErrorReport> BruteForceCcError(
+    const std::vector<CardinalityConstraint>& ccs, const Table& v_join) {
+  CcErrorReport report;
+  double sum = 0.0;
+  for (const CardinalityConstraint& cc : ccs) {
+    CEXTEND_ASSIGN_OR_RETURN(
+        BoundPredicate pred, BoundPredicate::Bind(cc.JoinCondition(), v_join));
+    int64_t actual = static_cast<int64_t>(pred.CountMatches(v_join));
+    double denom = static_cast<double>(std::max<int64_t>(10, cc.target));
+    double err = static_cast<double>(std::llabs(actual - cc.target)) / denom;
+    report.per_cc.push_back(err);
+    sum += err;
+    report.max = std::max(report.max, err);
+    if (actual == cc.target) ++report.num_exact;
+  }
+  report.mean = ccs.empty() ? 0.0 : sum / static_cast<double>(ccs.size());
+  std::vector<double> sorted = report.per_cc;
+  std::sort(sorted.begin(), sorted.end());
+  size_t n = sorted.size();
+  if (n > 0) {
+    report.median = n % 2 == 1 ? sorted[n / 2]
+                               : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
+  }
+  return report;
 }
 
 }  // namespace testing_fixtures

@@ -34,6 +34,10 @@
 // to shards that have not retired yet. The resumed stream is byte-identical
 // to an uninterrupted run.
 //
+// Every run ends with the Section 6.1 check of the output: CC error and DC
+// error are printed, and with --method=hybrid any violated DC instance makes
+// the run fail (exit 1) after the tables are written.
+//
 // The spec file holds one constraint per line (see constraints/parser.h):
 //     cc chicago_owners: COUNT(Rel = "Owner" & Area = "Chicago") = 4
 //     dc one_owner:      !(t0.Rel = "Owner" & t1.Rel = "Owner")
@@ -298,6 +302,13 @@ Status Run(const CliArgs& args) {
   if (!args.out_join.empty()) {
     CEXTEND_RETURN_IF_ERROR(WriteCsv(solution->v_join, args.out_join));
     std::printf("wrote %s\n", args.out_join.c_str());
+  }
+  // The solver promises a DC-clean output (Prop. 5.5), so a violation fails
+  // the run; the tables stay written for inspection. The baselines ignore
+  // DCs by design, so for them the report is informational.
+  if (args.method == "hybrid" && dc_report.num_violations > 0) {
+    return Status::FailedPrecondition("output violates denial constraints: " +
+                                      dc_report.Summary());
   }
   return Status::Ok();
 }

@@ -2,7 +2,9 @@
 # Kill/resume leg of the chaos CI job: interrupt a durable streaming CLI run
 # -- with injected sink faults and with a real SIGKILL -- then resume with
 # --resume and require the final stream and output CSVs to be byte-identical
-# to an uninterrupted reference run.
+# to an uninterrupted reference run. Every completed run, resumed ones
+# included, must also satisfy every DC: the CLI checks its output and exits
+# nonzero on any violation, which fails this script under `set -e`.
 #
 # Usage: kill_resume_test.sh <path-to-cextend_cli> [workdir]
 set -euo pipefail
@@ -38,11 +40,12 @@ with open("spec.txt", "w") as f:
 print("dataset: 3000 persons, 36 houses, 12 areas")
 EOF
 
+CLI_ARGS=(--r1=persons.csv --r1-schema="pid:int,Age:int,Rel:str,hid:int"
+          --r2=housing.csv --r2-schema="hid:int,Area:str"
+          --key1=pid --fk=hid --key2=hid --constraints=spec.txt
+          --seed=21 --threads=2)
 run() {
-  "$CLI" --r1=persons.csv --r1-schema="pid:int,Age:int,Rel:str,hid:int" \
-         --r2=housing.csv --r2-schema="hid:int,Area:str" \
-         --key1=pid --fk=hid --key2=hid --constraints=spec.txt \
-         --seed=21 --threads=2 "$@"
+  "$CLI" "${CLI_ARGS[@]}" "$@"
 }
 
 echo "== reference run =="
@@ -53,7 +56,7 @@ compare() {
   cmp ref.stream cur.stream
   cmp ref_r1.csv cur_r1.csv
   cmp ref_r2.csv cur_r2.csv
-  echo "== $1: stream + CSVs byte-identical =="
+  echo "== $1: stream + CSVs byte-identical, DCs hold =="
 }
 
 # ---- Leg 1: injected fault interruptions (clean process exit mid-stream,
@@ -88,8 +91,11 @@ done
 killed=0
 for attempt in 1 2 3 4 5 6 7 8 9 10; do
   rm -f cur.stream cur.manifest cur_r1.csv cur_r2.csv
-  run --stream-out=cur.stream --manifest=cur.manifest --shards=256 \
-      --max-resident-shards=1 --threads=1 \
+  # The CLI itself is the background job, not `run`: $! of a backgrounded
+  # function is a subshell, and killing that would leave the CLI running,
+  # still writing the stream while the resume below writes it too.
+  "$CLI" "${CLI_ARGS[@]}" --stream-out=cur.stream --manifest=cur.manifest \
+      --shards=256 --max-resident-shards=1 --threads=1 \
       --out-r1=cur_r1.csv --out-r2=cur_r2.csv > /dev/null 2>&1 &
   pid=$!
   # Kill as soon as the manifest shows committed shard records (file header
