@@ -1,8 +1,9 @@
 // Phase-1 ILP micro-kernels: model build, LP relaxation, and full branch &
 // bound on synthetic bin×combo count models with the paper's block
-// structure, at several scales — dense-tableau baseline vs. sparse revised
-// simplex (warm-started B&B), plus the component-decomposed solve at 1/2/8
-// threads.
+// structure, at several scales — dense-tableau baseline (the reference
+// solvers in tests/reference/dense_simplex.h: cold per-node B&B) vs. the
+// library's sparse revised simplex (warm-started B&B), plus the
+// component-decomposed solve at 1/2/8 threads.
 //
 // Each cell appends a JSON-lines record to the phase-1 perf trajectory
 // (default `BENCH_phase1.json`, overridable via CEXTEND_BENCH_PHASE1_JSON;
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "ilp/solver.h"
+#include "reference/dense_simplex.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -202,10 +204,8 @@ void RunScale(const Scale& scale, uint64_t seed) {
   Record("model_build", scale, vars, rows, 0.0, build_seconds, 1);
 
   // LP relaxation, dense vs sparse.
-  ilp::SimplexOptions dense_simplex;
-  dense_simplex.use_dense_tableau = true;
   Stopwatch lp_dense_watch;
-  ilp::LpResult lp_dense = ilp::SolveLp(instance.model, dense_simplex);
+  ilp::LpResult lp_dense = ilp::SolveLpDense(instance.model);
   double lp_dense_seconds = lp_dense_watch.ElapsedSeconds();
   Stopwatch lp_sparse_watch;
   ilp::LpResult lp_sparse = ilp::SolveLp(instance.model);
@@ -221,10 +221,9 @@ void RunScale(const Scale& scale, uint64_t seed) {
   Record("lp_relax", scale, vars, rows, lp_dense_seconds, lp_sparse_seconds, 1);
 
   // Full branch & bound on the monolithic model.
-  ilp::IlpOptions dense_options = BenchIlpOptions();
-  dense_options.simplex.use_dense_tableau = true;
   Stopwatch ilp_dense_watch;
-  ilp::IlpResult ilp_dense = ilp::Solve(instance.model, dense_options);
+  ilp::IlpResult ilp_dense = ilp::SolveIlpDense(instance.model,
+                                                BenchIlpOptions());
   double ilp_dense_seconds = ilp_dense_watch.ElapsedSeconds();
   ilp::IlpOptions sparse_options = BenchIlpOptions();
   Stopwatch ilp_sparse_watch;

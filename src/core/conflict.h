@@ -56,8 +56,6 @@ struct ConflictOracleOptions {
   /// against this budget word-for-word (normally a few n/64-word bitsets,
   /// i.e. negligible), so adversarial signature blowups also fall back.
   size_t max_materialized_pairs = 32'000'000;
-  /// Forces the brute-force oracle (benchmarks / cross-checking).
-  bool force_naive = false;
   /// Optional worker pool for *within-partition* parallel construction: each
   /// indexed binary DC emits (and sorts) its pair run as an independent
   /// task, and the runs are merged — already deduplicated — into the CSR
@@ -212,9 +210,10 @@ class NaiveConflictOracle final : public PartitionOracle {
 };
 
 /// Builds the indexed oracle, falling back to the naive oracle when the
-/// materialized-pair budget is exceeded (or when `options.force_naive`).
-/// `info`, when non-null, receives degradation accounting for the build
-/// (`force_naive` is a configured rung, not a fallback, and is not counted).
+/// materialized-pair budget is exceeded or the `oracle.build` fault point
+/// fires (tests force the naive oracle that way). Both oracles answer every
+/// query identically. `info`, when non-null, receives degradation
+/// accounting for the build.
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     const Table& table, const std::vector<BoundDenialConstraint>& dcs,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options = {},

@@ -293,7 +293,6 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
   const Table& v_join = *prepared.v_join;
 
   ConflictOracleOptions oracle_options;
-  oracle_options.force_naive = options.use_naive_oracle;
   oracle_options.pool = pool;
   oracle_options.run_control = options.run_control;
 
@@ -547,7 +546,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
     if (!prepared.repair_groups.empty()) {
       const Table& v_join = *prepared.v_join;
       ConflictOracleOptions repair_oracle_options;
-      repair_oracle_options.force_naive = options.use_naive_oracle;
       repair_oracle_options.pool = pool.get();
       repair_oracle_options.run_control = options.run_control;
       for (const auto& [combo_id, group] : prepared.repair_groups) {

@@ -41,19 +41,21 @@ std::string SolveStats::Summary() const {
     out += StrFormat(" durable(resumed=%zu commits=%zu)",
                      phase2.resumed_shards, phase2.manifest_commits);
   }
-  if (ladder.AnyDegradation()) {
+  if (AnyDegradation()) {
     out += StrFormat(
-        " ladder(naive=%zu biclique_overflow=%zu cold=%zu scan_probe=%zu"
-        " shard_regen=%zu%s%s%s%s)",
-        ladder.naive_oracle_fallbacks, ladder.biclique_overflows,
-        ladder.cold_solve_fallbacks, ladder.scan_probe_repairs,
-        ladder.shard_regenerations,
-        ladder.forced_naive_oracle ? " forced:naive" : "",
-        ladder.forced_dense_tableau ? " forced:dense" : "",
-        ladder.forced_cold_solves ? " forced:cold" : "",
-        ladder.forced_monolithic_ilp ? " forced:monolithic" : "");
+        " ladder(naive=%zu biclique_overflow=%zu cold=%lld scan_probe=%zu"
+        " shard_regen=%zu)",
+        phase2.naive_oracle_fallbacks, phase2.biclique_overflows,
+        static_cast<long long>(phase1.ilp.cold_fallbacks),
+        phase2.scan_probe_repairs, phase2.shard_regenerations);
   }
   return out;
+}
+
+bool SolveStats::AnyDegradation() const {
+  return phase2.naive_oracle_fallbacks > 0 || phase2.biclique_overflows > 0 ||
+         phase2.scan_probe_repairs > 0 || phase2.shard_regenerations > 0 ||
+         phase1.ilp.cold_fallbacks > 0;
 }
 
 }  // namespace cextend

@@ -20,48 +20,9 @@
 
 namespace cextend {
 
-/// Observable degradation ladder (see src/core/README.md "Resilience").
-/// Each rung records that the solver stepped from its fast path onto a
-/// slower-but-equivalent one — under resource pressure, a numerical
-/// failure, or an injected fault. Invariant: every rung either preserves
-/// bit-identical output for a fixed seed or the solve returns a non-OK
-/// Status; a rung never silently changes the synthesized database.
-struct DegradationLadder {
-  /// Partitions (coloring or repair) whose indexed conflict-oracle build
-  /// fell back to the O(n)-memory naive oracle (indexed→naive).
-  size_t naive_oracle_fallbacks = 0;
-  /// Product DCs materialized as pairs because the implicit-biclique
-  /// family was full (implicit→materialized).
-  size_t biclique_overflows = 0;
-  /// B&B nodes whose dual warm start fell back to a cold solve
-  /// (warm→cold).
-  size_t cold_solve_fallbacks = 0;
-  /// Repair combo groups probed by direct DC scans because the per-combo
-  /// oracle rebuild exceeded a resource cap (oracle-probe→scan-probe).
-  size_t scan_probe_repairs = 0;
-  /// Shard emissions that failed and were regenerated in place from the
-  /// plan (lost-shard→re-emit; regeneration is byte-identical).
-  size_t shard_regenerations = 0;
-  /// Configured rungs, forced via options rather than entered under
-  /// pressure (the CLI retry loop sets these on later attempts):
-  bool forced_naive_oracle = false;    ///< Phase2Options::use_naive_oracle
-  bool forced_dense_tableau = false;   ///< SimplexOptions::use_dense_tableau
-  bool forced_cold_solves = false;     ///< IlpOptions::warm_start == false
-  bool forced_monolithic_ilp = false;  ///< Phase1IlpOptions::decompose == false
-
-  /// True when any rung (fallback or forced) was active.
-  bool AnyDegradation() const {
-    return naive_oracle_fallbacks > 0 || biclique_overflows > 0 ||
-           cold_solve_fallbacks > 0 || scan_probe_repairs > 0 ||
-           shard_regenerations > 0 || forced_naive_oracle ||
-           forced_dense_tableau || forced_cold_solves || forced_monolithic_ilp;
-  }
-};
-
 struct SolveStats {
   HybridStats phase1;
   Phase2Stats phase2;
-  DegradationLadder ladder;
   double phase1_seconds = 0.0;
   double phase2_seconds = 0.0;
   double total_seconds = 0.0;
@@ -71,6 +32,13 @@ struct SolveStats {
   std::string BreakdownTable() const;
   /// One-line summary.
   std::string Summary() const;
+  /// True when any degradation-ladder rung fired (see src/core/README.md
+  /// "Resilience"): a step from the fast path onto a slower-but-equivalent
+  /// one under resource pressure, a numerical failure, or an injected fault.
+  /// Every rung either preserves bit-identical output for a fixed seed or
+  /// the solve returns a non-OK Status. The counters live in Phase2Stats
+  /// and Phase1IlpStats.
+  bool AnyDegradation() const;
 };
 
 }  // namespace cextend

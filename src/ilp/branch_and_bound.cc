@@ -106,11 +106,9 @@ IlpResult SolveIlp(const Model& model, const IlpOptions& options) {
     simplex_options.run_control = options.run_control;
   }
 
-  // One compiled sparse instance serves every node (the CSC matrix never
-  // changes; only bounds do). The dense oracle path solves cold per node.
-  const bool sparse = !simplex_options.use_dense_tableau;
-  std::unique_ptr<RevisedSimplex> revised;
-  if (sparse) revised = std::make_unique<RevisedSimplex>(model, simplex_options);
+  // One compiled instance serves every node (the CSC matrix never changes;
+  // only bounds do).
+  RevisedSimplex revised(model, simplex_options);
 
   std::priority_queue<Node> queue;
   Node root;
@@ -158,35 +156,31 @@ IlpResult SolveIlp(const Model& model, const IlpOptions& options) {
     ++result.nodes;
 
     LpResult lp;
+    bool warm_ok = false;
+    if (node.warm != nullptr) {
+      std::optional<LpResult> warm;
+      if (!CEXTEND_INJECT_FAULT("dual.warm_start")) {
+        warm = revised.SolveWarm(*node.warm, node.lower, node.upper);
+      }
+      if (warm.has_value()) {
+        lp = *std::move(warm);
+        warm_ok = true;
+        ++result.warm_solves;
+      } else {
+        // Warm→cold rung: the dual simplex gave up (or the fault point
+        // simulated it); re-solve this node from scratch.
+        ++result.cold_fallbacks;
+        if (!revised.interrupt().ok()) {
+          result.interrupt = revised.interrupt();
+          budget_hit = true;
+          break;
+        }
+      }
+    }
+    if (!warm_ok) lp = revised.Solve(node.lower, node.upper);
     std::shared_ptr<const SimplexBasis> solved_basis;
-    if (sparse) {
-      bool warm_ok = false;
-      if (options.warm_start && node.warm != nullptr) {
-        std::optional<LpResult> warm;
-        if (!CEXTEND_INJECT_FAULT("dual.warm_start")) {
-          warm = revised->SolveWarm(*node.warm, node.lower, node.upper);
-        }
-        if (warm.has_value()) {
-          lp = *std::move(warm);
-          warm_ok = true;
-          ++result.warm_solves;
-        } else {
-          // Warm→cold rung: the dual simplex gave up (or the fault point
-          // simulated it); re-solve this node from scratch.
-          ++result.cold_fallbacks;
-          if (!revised->interrupt().ok()) {
-            result.interrupt = revised->interrupt();
-            budget_hit = true;
-            break;
-          }
-        }
-      }
-      if (!warm_ok) lp = revised->Solve(node.lower, node.upper);
-      if (lp.status == LpStatus::kOptimal && revised->basis().valid) {
-        solved_basis = std::make_shared<SimplexBasis>(revised->basis());
-      }
-    } else {
-      lp = SolveLp(model, simplex_options, node.lower, node.upper);
+    if (lp.status == LpStatus::kOptimal && revised.basis().valid) {
+      solved_basis = std::make_shared<SimplexBasis>(revised.basis());
     }
     result.lp_iterations += lp.iterations;
     if (!lp.interrupt.ok()) {

@@ -44,10 +44,6 @@ struct IlpResult {
 
 struct IlpOptions {
   SimplexOptions simplex;
-  /// Re-optimize child nodes from the parent's optimal basis with a dual
-  /// simplex phase instead of a cold two-phase solve (sparse path only; the
-  /// dense tableau oracle always solves cold).
-  bool warm_start = true;
   int64_t max_nodes = 2000;
   double time_limit_seconds = 120.0;
   double integrality_tol = 1e-6;
@@ -68,9 +64,9 @@ struct IlpOptions {
 bool IsFeasible(const Model& model, const std::vector<double>& x, double tol);
 
 /// Solves the integer program by best-bound (best-first) branch & bound.
-/// Nodes re-optimize from the parent basis via dual simplex when
-/// `options.warm_start` is set, falling back to a cold solve on numerical
-/// trouble.
+/// Child nodes re-optimize from the parent basis via dual simplex, falling
+/// back to a cold solve on numerical trouble (or when the `dual.warm_start`
+/// fault point fires); both paths reach the same node optimum.
 IlpResult SolveIlp(const Model& model, const IlpOptions& options = {});
 
 }  // namespace ilp

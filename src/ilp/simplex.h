@@ -1,11 +1,10 @@
 // LP relaxation solving:  min c^T x  s.t.  A x {<=,=,>=} b,  0 <= x <= u.
 //
-// SolveLp dispatches to the sparse revised simplex (see revised_simplex.h)
-// by default; the original dense two-phase tableau is kept behind
-// SimplexOptions::use_dense_tableau as a debug/reference oracle (it stores
-// the full O(m·n) tableau and compiles upper bounds into extra rows). Both
-// paths use Dantzig pricing with an automatic switch to Bland's rule after a
-// run of degenerate pivots to guarantee termination.
+// SolveLp runs the sparse bounded-variable revised simplex (see
+// revised_simplex.h): Dantzig pricing with an automatic switch to Bland's
+// rule after a run of degenerate pivots to guarantee termination. The dense
+// two-phase tableau it replaced lives on as a test/bench reference
+// (tests/reference/dense_simplex.h), not in the library.
 
 #ifndef CEXTEND_ILP_SIMPLEX_H_
 #define CEXTEND_ILP_SIMPLEX_H_
@@ -45,11 +44,8 @@ struct SimplexOptions {
   double eps = 1e-9;
   /// Consecutive degenerate pivots before switching to Bland's rule.
   int degenerate_switch = 64;
-  /// Pivots between eta-file refactorizations (revised simplex only).
+  /// Pivots between eta-file refactorizations.
   int refactor_interval = 64;
-  /// Route SolveLp through the dense two-phase tableau instead of the sparse
-  /// revised simplex. Debug/reference oracle; O(m·n) per pivot.
-  bool use_dense_tableau = false;
   /// Deadline/cancellation, polled every few hundred pivots and at every
   /// basis reinversion. A trip surfaces as kIterationLimit with
   /// LpResult::interrupt set.

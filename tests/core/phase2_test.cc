@@ -137,13 +137,18 @@ TEST(Phase2Test, ParallelColoringMatchesDcGuarantee) {
 
 TEST(Phase2Test, IndexedAndNaiveOraclesProduceIdenticalOutput) {
   // The indexed conflict oracle must not change phase-II semantics: same
-  // seed, same FK assignment, same new tuples as the brute-force oracle.
+  // seed, same FK assignment, same new tuples as the brute-force oracle,
+  // which the oracle.build fault point forces for every partition.
+  if (!FaultInjection::CompiledIn()) {
+    GTEST_SKIP() << "fault injection compiled out";
+  }
   PaperExample ex = MakePaperExample();
-  Phase2Options indexed_options;
-  Phase2Options naive_options;
-  naive_options.use_naive_oracle = true;
-  FullRun indexed = RunBoth(ex, indexed_options);
-  FullRun naive = RunBoth(ex, naive_options);
+  Phase2Options options;
+  FullRun indexed = RunBoth(ex, options);
+  ASSERT_EQ(indexed.phase2.stats.naive_oracle_fallbacks, 0u);
+  ScopedFaults faults("oracle.build");
+  FullRun naive = RunBoth(ex, options);
+  ASSERT_GT(naive.phase2.stats.naive_oracle_fallbacks, 0u);
   size_t hid_col = indexed.phase2.r1_hat.schema().IndexOrDie("hid");
   ASSERT_EQ(indexed.phase2.r1_hat.NumRows(), naive.phase2.r1_hat.NumRows());
   for (size_t r = 0; r < indexed.phase2.r1_hat.NumRows(); ++r) {

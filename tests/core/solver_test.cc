@@ -51,6 +51,28 @@ TEST(SolverTest, StatsArePopulated) {
   EXPECT_FALSE(stats.BreakdownTable().empty());
 }
 
+TEST(SolverTest, AnyDegradationReadsEveryLadderCounter) {
+  SolveStats clean;
+  EXPECT_FALSE(clean.AnyDegradation());
+  EXPECT_EQ(clean.Summary().find("ladder("), std::string::npos);
+  auto degraded = [](auto set) {
+    SolveStats stats;
+    set(stats);
+    return stats.AnyDegradation() &&
+           stats.Summary().find("ladder(") != std::string::npos;
+  };
+  EXPECT_TRUE(
+      degraded([](SolveStats& s) { s.phase2.naive_oracle_fallbacks = 1; }));
+  EXPECT_TRUE(
+      degraded([](SolveStats& s) { s.phase2.biclique_overflows = 1; }));
+  EXPECT_TRUE(
+      degraded([](SolveStats& s) { s.phase2.scan_probe_repairs = 1; }));
+  EXPECT_TRUE(
+      degraded([](SolveStats& s) { s.phase2.shard_regenerations = 1; }));
+  EXPECT_TRUE(
+      degraded([](SolveStats& s) { s.phase1.ilp.cold_fallbacks = 1; }));
+}
+
 TEST(SolverTest, DeterministicGivenSeed) {
   PaperExample ex = MakePaperExample();
   SolverOptions options;

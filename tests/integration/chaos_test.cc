@@ -242,7 +242,7 @@ TEST(ChaosLadderTest, OracleBuildFaultFallsBackToNaiveBitIdentical) {
                       instance.data.names, instance.ccs, instance.dcs,
                       options);
   ASSERT_TRUE(naive.ok()) << naive.status();
-  EXPECT_GT(naive->stats.ladder.naive_oracle_fallbacks, 0u);
+  EXPECT_GT(naive->stats.phase2.naive_oracle_fallbacks, 0u);
   size_t hid_col = indexed->r1_hat.schema().IndexOrDie("hid");
   ASSERT_EQ(naive->r1_hat.NumRows(), indexed->r1_hat.NumRows());
   for (size_t r = 0; r < indexed->r1_hat.NumRows(); ++r) {
@@ -291,8 +291,8 @@ TEST(ChaosLadderTest, ShardEmitFaultRegeneratesLostShardsBitIdentical) {
     }
     if (faulted->stats.phase2.shard_regenerations == 0) continue;
     EXPECT_GT(FaultInjection::Global().FiredCount("shard.emit"), 0u);
-    EXPECT_GT(faulted->stats.ladder.shard_regenerations, 0u);
-    EXPECT_TRUE(faulted->stats.ladder.AnyDegradation());
+    EXPECT_GT(faulted->stats.phase2.shard_regenerations, 0u);
+    EXPECT_TRUE(faulted->stats.AnyDegradation());
     size_t hid_col = baseline->r1_hat.schema().IndexOrDie("hid");
     ASSERT_EQ(faulted->r1_hat.NumRows(), baseline->r1_hat.NumRows());
     for (size_t r = 0; r < baseline->r1_hat.NumRows(); ++r) {
@@ -320,7 +320,7 @@ TEST(ChaosLadderTest, ShardEmitFaultRegeneratesLostShardsBitIdentical) {
 // until it completes, and require the stream bytes *and* the synthesized
 // tables to be identical to an uninterrupted run. The plan is built once and
 // reconstituted from its serialized bytes each round — the same plan-cache
-// discipline the CLI retry ladder uses.
+// discipline the CLI retry loop uses.
 TEST(ChaosStreamingTest, InterruptedDurableSolveResumesBitIdentical) {
   if (!FaultInjection::CompiledIn()) {
     GTEST_SKIP() << "fault injection compiled out";

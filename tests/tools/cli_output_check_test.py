@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""End-to-end test of the cextend CLI's output check.
+"""End-to-end tests of the cextend CLI's output check and flag parsing.
 
 The CLI evaluates the DCs on every output it writes. A --method=hybrid run
 promises a DC-clean output (Prop. 5.5), so a violation must fail it (exit 1,
 tables still written); the baselines ignore DCs by design, so their
 violations are only reported.
+
+Numeric flags are parsed strictly: a value that is not plain decimal digits
+within the flag's range prints usage and exits 2 before anything runs.
 
 Three owners share two houses under a one-owner-per-house DC. A baseline
 therefore always violates it, and so does a hybrid stream written without
@@ -41,7 +44,9 @@ DC = 'dc one_owner: !(t0.Rel = "Owner" & t1.Rel = "Owner")\n'
 VIOLATIONS_RE = re.compile(r"^DC error: .* (\d+) violations\)$", re.M)
 
 
-class CliOutputCheckTest(unittest.TestCase):
+class CliTestCase(unittest.TestCase):
+    """Runs the CLI on the three-owner instance in a fresh directory."""
+
     def setUp(self):
         self._dir = tempfile.TemporaryDirectory()
         self.dir = self._dir.name
@@ -67,6 +72,8 @@ class CliOutputCheckTest(unittest.TestCase):
         self.assertIsNotNone(m, proc.stdout)
         return int(m.group(1))
 
+
+class CliOutputCheckTest(CliTestCase):
     def test_baseline_violation_is_only_reported(self):
         proc = self.run_cli("cc_dc.txt", "--method=baseline")
         self.assertEqual(proc.returncode, 0, proc.stderr)
@@ -89,6 +96,40 @@ class CliOutputCheckTest(unittest.TestCase):
         self.assertIn("output violates denial constraints", resumed.stderr)
         # The tables are written before the run fails, for inspection.
         self.assertTrue(os.path.exists(os.path.join(self.dir, "r1_hat.csv")))
+
+
+class CliNumericFlagTest(CliTestCase):
+    BAD_VALUES = [
+        "--timeout-ms=10s",     # suffix
+        "--timeout-ms=-5",      # negative
+        "--seed=abc",           # no digits
+        "--seed=+3",            # sign
+        "--seed=18446744073709551616",  # 2^64 overflows
+        "--threads=-1",         # would wrap to SIZE_MAX
+        "--threads=0",          # below range
+        "--threads= 2",         # leading space
+        "--shards=1.5",         # trailing characters
+        "--max-resident-shards=",  # empty
+        "--max-attempts=0",     # below range
+    ]
+
+    def test_malformed_numbers_print_usage_and_exit_2(self):
+        for flag in self.BAD_VALUES:
+            with self.subTest(flag=flag):
+                proc = self.run_cli("cc_dc.txt", flag)
+                self.assertEqual(proc.returncode, 2, proc.stdout)
+                self.assertIn("usage:", proc.stderr)
+                self.assertEqual(proc.stdout, "")
+                self.assertFalse(
+                    os.path.exists(os.path.join(self.dir, "r1_hat.csv")))
+
+    def test_well_formed_numbers_run(self):
+        proc = self.run_cli("cc_dc.txt", "--seed=18446744073709551615",
+                            "--threads=2", "--shards=0",
+                            "--max-resident-shards=1", "--timeout-ms=600000",
+                            "--max-attempts=1")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(self.violations(proc), 0)
 
 
 if __name__ == "__main__":

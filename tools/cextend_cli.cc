@@ -13,12 +13,17 @@
 //               [--method=hybrid|baseline|baseline-marginals]
 //
 // --timeout-ms bounds each solve attempt with a monotonic deadline (expiry
-// returns DEADLINE_EXCEEDED). On resource-style failures the CLI retries
-// down a degradation ladder (naive oracle, cold solves, dense tableau,
-// monolithic ILP — cumulative), up to --max-attempts attempts; every rung
-// yields the same database for a fixed seed. The plan is built once and
-// cached in serialized form, so retries only re-execute shards, never
-// phase 1 or planning (unless planning itself failed).
+// returns DEADLINE_EXCEEDED). A RESOURCE_EXHAUSTED or INTERNAL failure is
+// retried with the same options, up to --max-attempts attempts in all
+// (default 5). The plan is built once and cached in serialized form, so
+// retries only re-execute shards, never phase 1 or planning (unless
+// planning itself failed); the solver's own fallbacks (naive conflict
+// oracle, cold LP solves, scan-probe repair) engage automatically inside
+// an attempt and never change the synthesized database.
+//
+// Numeric flags take plain decimal digits: no sign, no suffix. --threads
+// and --max-attempts must be at least 1, --threads at most 1024 and
+// --timeout-ms at most 10^12; anything else prints usage and exits 2.
 //
 // --stream-out streams phase 2 to PATH as shards retire from the
 // bounded-memory executor (format: src/core/shard_executor.h), instead of
@@ -30,9 +35,9 @@
 // manifest (--manifest, default <stream-out>.manifest) is fsync'd at every
 // shard retirement. --resume restarts an interrupted run from the last
 // committed shard boundary instead of from scratch, and a retried attempt
-// likewise resumes from the durable prefix — degradation rungs only apply
-// to shards that have not retired yet. The resumed stream is byte-identical
-// to an uninterrupted run.
+// likewise resumes from the durable prefix, so it only re-executes shards
+// that have not retired yet. The resumed stream is byte-identical to an
+// uninterrupted run.
 //
 // Every run ends with the Section 6.1 check of the output: CC error and DC
 // error are printed, and with --method=hybrid any violated DC instance makes
@@ -42,7 +47,8 @@
 //     cc chicago_owners: COUNT(Rel = "Owner" & Area = "Chicago") = 4
 //     dc one_owner:      !(t0.Rel = "Owner" & t1.Rel = "Owner")
 
-#include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -80,41 +86,28 @@ struct CliArgs {
   size_t shards = 0;             // 0 = auto
   size_t max_resident_shards = 0;  // 0 = unbounded
   int64_t timeout_ms = 0;  // 0 = no deadline
-  size_t max_attempts = 5; // 1 = no degradation retries
+  size_t max_attempts = 5; // 1 = no retries
 };
 
-// Retry ladder: attempt k forces rungs 1..k cumulatively. Every rung is a
-// slower-but-equivalent path (bit-identical output for a fixed seed), so a
-// retry changes resource behaviour, never the synthesized database.
-constexpr const char* kRungLabels[] = {
-    "default configuration",
-    "naive conflict oracle",
-    "cold LP solves (no warm start)",
-    "dense simplex tableau",
-    "monolithic phase-1 ILP",
-};
-constexpr size_t kNumRungs = sizeof(kRungLabels) / sizeof(kRungLabels[0]);
-
-SolverOptions OptionsForAttempt(const CliArgs& args, size_t rung) {
-  SolverOptions options;
-  options.seed = args.seed;
-  options.phase2.num_threads = args.threads;
-  options.phase2.num_shards = args.shards;
-  options.phase2.max_resident_shards = args.max_resident_shards;
-  if (rung >= 1) options.phase2.use_naive_oracle = true;
-  if (rung >= 2) options.phase1.ilp.ilp.warm_start = false;
-  if (rung >= 3) options.phase1.ilp.ilp.simplex.use_dense_tableau = true;
-  if (rung >= 4) options.phase1.ilp.decompose = false;
-  if (args.timeout_ms > 0) {
-    // Fresh per-attempt deadline: a degraded retry gets the full budget.
-    options.run_control.deadline = Deadline::AfterMillis(args.timeout_ms);
+// Parses a numeric flag value: decimal digits only (no sign, space or
+// suffix), no overflow, within [lo, hi].
+template <typename T>
+bool ParseNumber(const char* text, T lo, T hi, T* out) {
+  if (*text < '0' || *text > '9') return false;
+  const char* end = text + strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
   }
-  return options;
+  *out = value;
+  return true;
 }
 
-// A retry down the ladder only helps with resource-style failures. Bad
-// input (kInvalidArgument, kNotFound) and an expired deadline (degraded
-// rungs are slower, not faster) fail the run immediately.
+// Only resource-style and internal failures (a transient allocation or I/O
+// failure, a lost shard that exhausted its in-place retries) are worth
+// another attempt. Bad input (kInvalidArgument, kNotFound) and an expired
+// deadline fail the run immediately.
 bool IsRetryable(StatusCode code) {
   return code == StatusCode::kResourceExhausted ||
          code == StatusCode::kInternal;
@@ -202,11 +195,9 @@ Status Run(const CliArgs& args) {
     return Status::InvalidArgument(
         "--resume requires --stream-out (only streamed runs are durable)");
   }
-  size_t max_attempts = std::min(std::max<size_t>(args.max_attempts, 1),
-                                 kNumRungs);
-  // The plan is identical on every rung (degraded paths are equivalence-
-  // tested), so it is built once and cached in serialized form; retries
-  // deserialize it and jump straight to shard execution.
+  // The plan is a pure function of the input and options, so it is built
+  // once and cached in serialized form; retries deserialize it and jump
+  // straight to shard execution.
   struct PlanCache {
     std::string plan_bytes;
     std::optional<Table> v_join;
@@ -216,8 +207,8 @@ Status Run(const CliArgs& args) {
   PlanCache cache;
   // Whether the next streaming attempt continues from the durable prefix:
   // --resume opts in up front, and any streaming attempt that got far enough
-  // to commit manifest records makes the *retry* resume (degradation rungs
-  // then only apply to shards that never retired).
+  // to commit manifest records makes the *retry* resume (only shards that
+  // never retired run again).
   bool resume_stream = args.resume;
   auto attempt_hybrid = [&](const SolverOptions& options)
       -> StatusOr<Solution> {
@@ -249,13 +240,22 @@ Status Run(const CliArgs& args) {
     return ExecuteCExtensionPlanDurable(std::move(planned).value(), r1, r2,
                                         names, spec.dcs, stream, options);
   };
+  SolverOptions options;
+  options.seed = args.seed;
+  options.phase2.num_threads = args.threads;
+  options.phase2.num_shards = args.shards;
+  options.phase2.max_resident_shards = args.max_resident_shards;
   StatusOr<Solution> solution = Status::Internal("unset");
-  for (size_t rung = 0; rung < max_attempts; ++rung) {
-    SolverOptions options = OptionsForAttempt(args, rung);
-    if (rung > 0) {
-      std::fprintf(stderr, "retrying with %s (attempt %zu/%zu)%s\n",
-                   kRungLabels[rung], rung + 1, max_attempts,
-                   cache.v_join.has_value() ? ", reusing cached plan" : "");
+  for (size_t attempt = 1; attempt <= args.max_attempts; ++attempt) {
+    if (args.timeout_ms > 0) {
+      // Fresh per-attempt deadline: a retry gets the full budget.
+      options.run_control.deadline = Deadline::AfterMillis(args.timeout_ms);
+    }
+    if (attempt > 1) {
+      std::fprintf(stderr, "retrying%s (attempt %zu/%zu)%s\n",
+                   cache.v_join.has_value() ? " from the cached plan" : "",
+                   attempt, args.max_attempts,
+                   resume_stream ? ", resuming from the durable prefix" : "");
     }
     if (args.method == "hybrid") {
       solution = attempt_hybrid(options);
@@ -266,15 +266,15 @@ Status Run(const CliArgs& args) {
       solution = SolveBaseline(r1, r2, names, spec.ccs, spec.dcs,
                                BaselineKind::kWithMarginals, options);
     }
-    if (solution.ok()) break;
-    if (!IsRetryable(solution.status().code()) || rung + 1 == max_attempts) {
+    if (solution.ok() || !IsRetryable(solution.status().code()) ||
+        attempt == args.max_attempts) {
       break;
     }
     std::fprintf(stderr, "solve failed: %s\n",
                  solution.status().ToString().c_str());
   }
   CEXTEND_RETURN_IF_ERROR(solution.status());
-  if (solution->stats.ladder.AnyDegradation()) {
+  if (solution->stats.AnyDegradation()) {
     std::fprintf(stderr, "note: degraded paths were used: %s\n",
                  solution->stats.Summary().c_str());
   }
@@ -317,6 +317,7 @@ Status Run(const CliArgs& args) {
 }  // namespace cextend
 
 int main(int argc, char** argv) {
+  using cextend::ParseNumber;
   cextend::CliArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -324,6 +325,7 @@ int main(int argc, char** argv) {
       size_t len = strlen(prefix);
       return strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
     };
+    bool ok = true;
     if (const char* v = value("--r1=")) args.r1_path = v;
     else if (const char* v = value("--r1-schema=")) args.r1_schema = v;
     else if (const char* v = value("--r2=")) args.r2_path = v;
@@ -339,13 +341,17 @@ int main(int argc, char** argv) {
     else if (const char* v = value("--stream-out=")) args.stream_out = v;
     else if (const char* v = value("--manifest=")) args.manifest = v;
     else if (strcmp(arg, "--resume") == 0) args.resume = true;
-    else if (const char* v = value("--seed=")) args.seed = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--threads=")) args.threads = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--shards=")) args.shards = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--max-resident-shards=")) args.max_resident_shards = strtoull(v, nullptr, 10);
-    else if (const char* v = value("--timeout-ms=")) args.timeout_ms = strtoll(v, nullptr, 10);
-    else if (const char* v = value("--max-attempts=")) args.max_attempts = strtoull(v, nullptr, 10);
-    else return cextend::Usage(argv[0]);
+    else if (const char* v = value("--seed=")) ok = ParseNumber<uint64_t>(v, 0, UINT64_MAX, &args.seed);
+    else if (const char* v = value("--threads=")) ok = ParseNumber<size_t>(v, 1, 1024, &args.threads);
+    else if (const char* v = value("--shards=")) ok = ParseNumber<size_t>(v, 0, SIZE_MAX, &args.shards);
+    else if (const char* v = value("--max-resident-shards=")) ok = ParseNumber<size_t>(v, 0, SIZE_MAX, &args.max_resident_shards);
+    else if (const char* v = value("--timeout-ms=")) ok = ParseNumber<int64_t>(v, 0, 1'000'000'000'000, &args.timeout_ms);
+    else if (const char* v = value("--max-attempts=")) ok = ParseNumber<size_t>(v, 1, SIZE_MAX, &args.max_attempts);
+    else ok = false;
+    if (!ok) {
+      std::fprintf(stderr, "bad argument: %s\n", arg);
+      return cextend::Usage(argv[0]);
+    }
   }
   if (args.r1_path.empty() || args.r2_path.empty() ||
       args.r1_schema.empty() || args.r2_schema.empty() || args.key1.empty() ||

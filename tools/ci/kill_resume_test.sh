@@ -2,9 +2,11 @@
 # Kill/resume leg of the chaos CI job: interrupt a durable streaming CLI run
 # -- with injected sink faults and with a real SIGKILL -- then resume with
 # --resume and require the final stream and output CSVs to be byte-identical
-# to an uninterrupted reference run. Every completed run, resumed ones
-# included, must also satisfy every DC: the CLI checks its output and exits
-# nonzero on any violation, which fails this script under `set -e`.
+# to an uninterrupted reference run. The CLI's own retry loop must reach the
+# same bytes: a retried attempt resumes from the durable prefix, while bad
+# input fails after one attempt. Every completed run, resumed ones included,
+# must also satisfy every DC: the CLI checks its output and exits nonzero on
+# any violation, which fails this script under `set -e`.
 #
 # Usage: kill_resume_test.sh <path-to-cextend_cli> [workdir]
 set -euo pipefail
@@ -136,5 +138,46 @@ run --stream-out=cur.stream --manifest=cur.manifest --resume --shards=256 \
     --max-resident-shards=1 \
     --out-r1=cur_r1.csv --out-r2=cur_r2.csv > /dev/null
 compare "finished-run resume"
+
+# ---- Leg 4: the CLI's own retry loop. One invocation, default
+# --max-attempts, no --resume: each manifest.commit fault fails an attempt
+# with INTERNAL, and the retry resumes from the durable prefix. Two shards
+# keep the number of commits within the attempt budget; fault seeds are
+# swept until one both retries and finishes (a seed that fails every attempt
+# is a clean exit 1, not an interesting cell).
+retried=0
+for seed in $(seq 1 64); do
+  rm -f cur.stream cur.manifest cur_r1.csv cur_r2.csv
+  if CEXTEND_FAULTS="manifest.commit=0.5" CEXTEND_FAULTS_SEED=$seed \
+     run --stream-out=cur.stream --manifest=cur.manifest --shards=2 \
+         --out-r1=cur_r1.csv --out-r2=cur_r2.csv > /dev/null 2> retry.err; then
+    if grep -Eq '^retrying .*\(attempt [0-9]+/5\)' retry.err; then
+      retried=1
+      break
+    fi
+  fi
+done
+if [ "$retried" -ne 1 ]; then
+  echo "ERROR: no fault seed made the CLI retry and finish" >&2
+  exit 1
+fi
+echo "== CLI retried and finished (fault seed $seed): =="
+grep '^retrying' retry.err
+compare "retry with resume"
+
+# A non-retryable failure (bad input) fails after one attempt.
+if run --r1-schema="pid:int,Age:float,Rel:str,hid:int" \
+       --out-r1=bad_r1.csv --out-r2=bad_r2.csv > /dev/null 2> bad.err; then
+  echo "ERROR: a bad --r1-schema did not fail the run" >&2
+  exit 1
+else
+  status=$?
+fi
+if [ "$status" -ne 1 ] || grep -q '^retrying' bad.err; then
+  echo "ERROR: bad --r1-schema: exit $status, expected 1 with no retry" >&2
+  cat bad.err >&2
+  exit 1
+fi
+echo "== non-retryable failure: exit 1 after one attempt =="
 
 echo "== kill/resume test PASSED =="
