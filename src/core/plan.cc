@@ -2,110 +2,52 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 
 #include "core/fill_state.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
-#include "util/sanitize.h"
 #include "util/timer.h"
 
 namespace cextend {
 namespace {
 
-// ---- Fixed-width little-endian encoding (byte-stable on every host). ----
+constexpr char kMagic[4] = {'C', 'X', 'P', 'L'};
+constexpr uint32_t kVersion = 2;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : data_(bytes) {}
-
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-
-  bool Bytes(size_t n, std::string* out) {
-    if (pos_ + n > data_.size()) return false;
-    out->assign(data_, pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
+/// Phase-2 partitioning of a plan's valid rows (Section 5.2): one partition
+/// per combo id, in first-row order, plus the stable size-descending
+/// worklist over them. The single owner of partition order — the shard map
+/// (BuildSynthesisPlan) and the executor's partitions (PreparePlan) both
+/// come from here, so shard boundaries always line up with the worklist.
+struct PlanPartitioning {
+  std::vector<uint32_t> combo;              ///< per partition: combo id
+  std::vector<std::vector<uint32_t>> rows;  ///< per partition: valid rows
+  std::vector<size_t> worklist;             ///< partition ids, size-descending
 };
 
-constexpr char kMagic[4] = {'C', 'X', 'P', 'L'};
-constexpr uint32_t kVersion = 1;
-
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Partition sizes over the valid rows, in first-row insertion order, plus
-/// the size-descending stable worklist over them — exactly the grouping the
-/// executor (and the monolithic phase 2 before it) derives, so shard
-/// boundaries computed here line up with PreparePlan's worklist.
-void ComputeWorklistSizes(const SynthesisPlan& plan,
-                          const std::vector<uint8_t>& is_invalid,
-                          std::vector<uint64_t>* worklist_sizes) {
-  std::vector<uint64_t> partition_size;     // insertion order
+PlanPartitioning PartitionPlan(const SynthesisPlan& plan) {
+  std::vector<uint8_t> is_invalid(plan.num_rows, 0);
+  for (uint32_t r : plan.invalid_rows) is_invalid[r] = 1;
+  PlanPartitioning out;
   std::vector<size_t> partition_of_combo(plan.combo_table.size(), SIZE_MAX);
   for (size_t r = 0; r < plan.num_rows; ++r) {
     if (is_invalid[r]) continue;
-    size_t combo = plan.row_combo[r];
+    const uint32_t combo = plan.row_combo[r];
     if (partition_of_combo[combo] == SIZE_MAX) {
-      partition_of_combo[combo] = partition_size.size();
-      partition_size.push_back(0);
+      partition_of_combo[combo] = out.combo.size();
+      out.combo.push_back(combo);
+      out.rows.emplace_back();
     }
-    ++partition_size[partition_of_combo[combo]];
+    out.rows[partition_of_combo[combo]].push_back(static_cast<uint32_t>(r));
   }
-  std::vector<size_t> order(partition_size.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return partition_size[a] > partition_size[b];
-  });
-  worklist_sizes->clear();
-  for (size_t i : order) worklist_sizes->push_back(partition_size[i]);
+  out.worklist.resize(out.combo.size());
+  for (size_t i = 0; i < out.worklist.size(); ++i) out.worklist[i] = i;
+  std::stable_sort(out.worklist.begin(), out.worklist.end(),
+                   [&](size_t a, size_t b) {
+                     return out.rows[a].size() > out.rows[b].size();
+                   });
+  return out;
 }
 
 }  // namespace
@@ -131,12 +73,11 @@ std::string SynthesisPlan::Serialize() const {
   for (uint32_t row : invalid_rows) PutU32(&out, row);
   PutU32(&out, static_cast<uint32_t>(num_shards()));
   for (uint64_t b : shard_begin) PutU64(&out, b);
-  for (uint64_t s : shard_seeds) PutU64(&out, s);
   return out;
 }
 
 StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
-  Reader in(bytes);
+  ByteReader in(bytes);
   std::string magic;
   uint32_t version;
   if (!in.Bytes(sizeof(kMagic), &magic) ||
@@ -146,10 +87,18 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
   if (!in.U32(&version) || version != kVersion) {
     return Status::InvalidArgument("unsupported SynthesisPlan version");
   }
+  // Admission caps: every count is checked against the bytes left before
+  // anything is sized from it, so a short header cannot request gigabytes.
+  auto fits = [&in](uint64_t count, uint64_t width) {
+    return count <= in.remaining() / width;
+  };
   SynthesisPlan plan;
   uint32_t q, num_combos, num_invalid, num_shards;
   if (!in.U64(&plan.seed) || !in.U64(&plan.num_rows) || !in.U32(&q)) {
     return Status::InvalidArgument("truncated SynthesisPlan header");
+  }
+  if (!fits(plan.num_rows, 4)) {
+    return Status::InvalidArgument("SynthesisPlan row count exceeds its bytes");
   }
   for (uint32_t i = 0; i < q; ++i) {
     uint32_t len;
@@ -159,7 +108,10 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
     }
     plan.b_names.push_back(std::move(name));
   }
-  if (!in.U32(&num_combos)) {
+  // The table interns only combos some row carries, so num_combos <=
+  // num_rows, which also bounds zero-width combos.
+  if (!in.U32(&num_combos) || num_combos > plan.num_rows ||
+      (q > 0 && !fits(num_combos, 8ull * q))) {
     return Status::InvalidArgument("truncated SynthesisPlan combo table");
   }
   plan.combo_table.assign(num_combos, std::vector<int64_t>(q));
@@ -176,7 +128,7 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
       return Status::InvalidArgument("bad SynthesisPlan row combo");
     }
   }
-  if (!in.U32(&num_invalid)) {
+  if (!in.U32(&num_invalid) || !fits(num_invalid, 4)) {
     return Status::InvalidArgument("truncated SynthesisPlan invalid rows");
   }
   plan.invalid_rows.resize(num_invalid);
@@ -188,17 +140,14 @@ StatusOr<SynthesisPlan> SynthesisPlan::Deserialize(const std::string& bytes) {
   if (!in.U32(&num_shards) || num_shards == 0) {
     return Status::InvalidArgument("SynthesisPlan must have >= 1 shard");
   }
-  plan.shard_begin.resize(num_shards + 1);
+  if (!fits(uint64_t{num_shards} + 1, 8)) {
+    return Status::InvalidArgument("truncated SynthesisPlan shard map");
+  }
+  plan.shard_begin.resize(size_t{num_shards} + 1);
   for (size_t i = 0; i < plan.shard_begin.size(); ++i) {
     if (!in.U64(&plan.shard_begin[i]) ||
         (i > 0 && plan.shard_begin[i] < plan.shard_begin[i - 1])) {
       return Status::InvalidArgument("bad SynthesisPlan shard map");
-    }
-  }
-  plan.shard_seeds.resize(num_shards);
-  for (uint64_t& s : plan.shard_seeds) {
-    if (!in.U64(&s)) {
-      return Status::InvalidArgument("truncated SynthesisPlan shard seeds");
     }
   }
   if (!in.AtEnd()) {
@@ -223,9 +172,6 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
   plan.num_rows = v_join.NumRows();
   plan.b_names = names.r2_attrs;
   plan.invalid_rows = invalid_rows;
-
-  std::vector<uint8_t> is_invalid(v_join.NumRows(), 0);
-  for (uint32_t r : invalid_rows) is_invalid[r] = 1;
 
   // ---- solveInvalidTuples pass 1 (Algorithm 4 line 16, selection half). ----
   // Picks each invalid row's min-badness combo (fewest CCs newly satisfied)
@@ -294,17 +240,19 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
       plan.row_combo[r] = it->second;
     }
 
-    std::vector<uint64_t> worklist_sizes;
-    ComputeWorklistSizes(plan, is_invalid, &worklist_sizes);
+    const PlanPartitioning partitioning = PartitionPlan(plan);
+    const size_t num_partitions = partitioning.worklist.size();
     uint64_t total = 0;
-    for (uint64_t s : worklist_sizes) total += s;
+    for (const std::vector<uint32_t>& rows : partitioning.rows) {
+      total += rows.size();
+    }
 
     size_t requested = options.num_shards;
     if (requested == 0) {
       requested = 4 * std::max<size_t>(1, options.num_threads_hint);
     }
     size_t num_shards =
-        std::max<size_t>(1, std::min(requested, worklist_sizes.size()));
+        std::max<size_t>(1, std::min(requested, num_partitions));
 
     // Contiguous worklist ranges balanced by row count: boundary s sits at
     // the first prefix holding at least total*s/num_shards rows. Large
@@ -312,18 +260,13 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
     plan.shard_begin.assign(num_shards + 1, 0);
     uint64_t cum = 0;
     size_t s = 1;
-    for (size_t i = 0; i < worklist_sizes.size(); ++i) {
-      cum += worklist_sizes[i];
+    for (size_t i = 0; i < num_partitions; ++i) {
+      cum += partitioning.rows[partitioning.worklist[i]].size();
       while (s < num_shards && cum * num_shards >= total * s) {
         plan.shard_begin[s++] = i + 1;
       }
     }
-    for (; s <= num_shards; ++s) plan.shard_begin[s] = worklist_sizes.size();
-
-    plan.shard_seeds.resize(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      plan.shard_seeds[i] = plan.seed ^ SplitMix64(0xC3A5C85C97CB3127ULL + i);
-    }
+    for (; s <= num_shards; ++s) plan.shard_begin[s] = num_partitions;
   }
   return plan;
 }
@@ -369,20 +312,23 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   prepared.v_join = &v_join;
   CEXTEND_ASSIGN_OR_RETURN(prepared.bound_dcs, BindAll(dcs, v_join));
 
-  std::vector<uint8_t> is_invalid(plan.num_rows, 0);
-  for (uint32_t r : plan.invalid_rows) is_invalid[r] = 1;
-
-  // Partitions over the valid rows, insertion order = first-row order —
-  // identical to the monolithic partitioning pass, so the worklist (and
-  // therefore every per-partition RNG stream) is unchanged.
-  for (size_t r = 0; r < plan.num_rows; ++r) {
-    if (is_invalid[r]) continue;
-    const std::vector<int64_t>& combo = plan.combo_table[plan.row_combo[r]];
-    auto [it, inserted] = prepared.partition_index.try_emplace(
-        combo, prepared.partitions.size());
-    if (inserted) prepared.partitions.push_back(PlanPartition{combo, {}, {}});
-    prepared.partitions[it->second].rows.push_back(static_cast<uint32_t>(r));
+  // Partitions are keyed by combo id, which matches partitioning by combo
+  // codes only while the table interns each combo once.
+  const std::unordered_set<std::vector<int64_t>, CodeVectorHash> distinct(
+      plan.combo_table.begin(), plan.combo_table.end());
+  if (distinct.size() != plan.combo_table.size()) {
+    return Status::InvalidArgument("SynthesisPlan combo table repeats a combo");
   }
+  PlanPartitioning partitioning = PartitionPlan(plan);
+  prepared.partitions.resize(partitioning.combo.size());
+  for (size_t i = 0; i < partitioning.combo.size(); ++i) {
+    PlanPartition& p = prepared.partitions[i];
+    p.combo = plan.combo_table[partitioning.combo[i]];
+    p.rows = std::move(partitioning.rows[i]);
+    prepared.partition_index.emplace(p.combo, i);
+  }
+  prepared.worklist = std::move(partitioning.worklist);
+
   // Candidate keys per partition from R2 (combos absent from V_join skipped).
   size_t k2_col = r2.schema().IndexOrDie(names.key2);
   CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> b_cols_r2,
@@ -401,17 +347,6 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   for (PlanPartition& p : prepared.partitions) {
     std::sort(p.candidates.begin(), p.candidates.end());
   }
-
-  // Size-descending stable worklist (ties keep insertion order).
-  prepared.worklist.resize(prepared.partitions.size());
-  for (size_t i = 0; i < prepared.worklist.size(); ++i) {
-    prepared.worklist[i] = i;
-  }
-  std::stable_sort(prepared.worklist.begin(), prepared.worklist.end(),
-                   [&](size_t a, size_t b) {
-                     return prepared.partitions[a].rows.size() >
-                            prepared.partitions[b].rows.size();
-                   });
 
   if (plan.shard_begin.front() != 0 ||
       plan.shard_begin.back() != prepared.worklist.size()) {
@@ -450,16 +385,6 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
         std::max(prepared.fresh_base, r2.GetCode(r, k2_col) + 1);
   }
   return prepared;
-}
-
-std::vector<uint8_t> RepairPartitionFlags(const PreparedPlan& prepared) {
-  std::vector<uint8_t> flags(prepared.partitions.size(), 0);
-  for (const auto& [combo_id, group] : prepared.repair_groups) {
-    auto it =
-        prepared.partition_index.find(prepared.combos.combo_codes(combo_id));
-    if (it != prepared.partition_index.end()) flags[it->second] = 1;
-  }
-  return flags;
 }
 
 }  // namespace cextend

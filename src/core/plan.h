@@ -9,6 +9,11 @@
 // a pure function of (plan, shard id), so shards can be regenerated after a
 // loss or emitted in a different process than the one that planned.
 //
+// Partition order and the size-descending worklist have one owner, a
+// file-local function in plan.cc over `row_combo`: BuildSynthesisPlan cuts
+// the shard map from it and PreparePlan builds the executor's partitions
+// from it, so the two cannot disagree.
+//
 // The plan stores dictionary codes, not values. Codes are deterministic for
 // identical input tables (dictionaries grow in insertion order), so a plan is
 // valid exactly against the (R1, R2) it was built from; ApplyPlanToJoinView
@@ -56,19 +61,18 @@ struct SynthesisPlan {
   std::vector<uint32_t> invalid_rows;              ///< repair rows, in order
   /// Worklist-index boundaries, size num_shards()+1; shard s covers
   /// worklist indices [shard_begin[s], shard_begin[s+1]).
+  /// Per-partition RNG streams derive from `seed` and the global worklist
+  /// index, never from the shard, so the shard map cannot change the bytes.
   std::vector<uint64_t> shard_begin;
-  /// Per-shard RNG roots, derived from `seed`. Recorded for distributed
-  /// executors; the in-process executor derives per-partition streams from
-  /// `seed` and the *global* worklist index so that the shard map can never
-  /// change the emitted bytes.
-  std::vector<uint64_t> shard_seeds;
 
   size_t num_shards() const {
     return shard_begin.empty() ? 0 : shard_begin.size() - 1;
   }
 
-  /// Byte-stable binary encoding: serialize → deserialize → re-serialize
-  /// yields identical bytes (fixed-width little-endian fields, no maps).
+  /// Byte-stable binary encoding ("CXPL" version 2, util/byte_codec.h):
+  /// serialize → deserialize → re-serialize yields identical bytes.
+  /// Deserialize returns InvalidArgument for other versions, truncated or
+  /// trailing bytes, and any count larger than the bytes left could hold.
   std::string Serialize() const;
   static StatusOr<SynthesisPlan> Deserialize(const std::string& bytes);
 };
@@ -130,18 +134,13 @@ struct PreparedPlan {
 
 /// Validates `plan` against the tables and builds the runtime context. The
 /// join view must already carry every row's combo (either phase 1 + plan
-/// build in this process, or ApplyPlanToJoinView in a fresh one).
+/// build in this process, or ApplyPlanToJoinView in a fresh one). A plan
+/// whose combo table repeats a combo, or whose shard map does not cover the
+/// partition worklist, is rejected with InvalidArgument.
 StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
                                    const Table& v_join, const Table& r2,
                                    const PairSchema& names,
                                    const std::vector<DenialConstraint>& dcs);
-
-/// Per-partition flag: 1 iff the partition's combo is a repair target, i.e.
-/// the repair stage will probe against this partition's resolved colors.
-/// Shared by the shard executor (which retains those colors at retirement)
-/// and the durable stream checkpoint (which persists them per manifest
-/// record so a resumed run can still repair).
-std::vector<uint8_t> RepairPartitionFlags(const PreparedPlan& prepared);
 
 }  // namespace cextend
 

@@ -9,6 +9,7 @@
 
 #include "core/conflict.h"
 #include "graph/list_coloring.h"
+#include "util/byte_codec.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -64,11 +65,17 @@ bool ScanWouldViolate(const Table& table,
   return false;
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+/// Per-partition flag: 1 iff the partition's combo is a repair target, i.e.
+/// the repair stage will probe against this partition's resolved colors.
+std::vector<uint8_t> RepairPartitionFlags(const PreparedPlan& prepared) {
+  std::vector<uint8_t> flags(prepared.partitions.size(), 0);
+  for (const auto& [combo_id, group] : prepared.repair_groups) {
+    auto it =
+        prepared.partition_index.find(prepared.combos.combo_codes(combo_id));
+    if (it != prepared.partition_index.end()) flags[it->second] = 1;
+  }
+  return flags;
 }
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
 
 /// Shared state of the bounded-memory emission loop. One mutex guards the
 /// admission window (next_admit/next_retire and the derived in-flight HWM),
@@ -84,17 +91,20 @@ struct ExecState {
   int64_t next_key GUARDED_BY(mu) = 0;
   std::vector<size_t> charged GUARDED_BY(mu);
   std::vector<std::unique_ptr<ShardOutput>> completed GUARDED_BY(mu);
-  std::unordered_map<uint32_t, int64_t> repair_colors GUARDED_BY(mu);
+  std::unordered_map<uint32_t, int64_t> color_of_row GUARDED_BY(mu);
   Phase2Stats stats GUARDED_BY(mu);
   Status first_error GUARDED_BY(mu);
 };
 
 /// Renumbers a completed shard's provisional fresh keys into the global key
-/// sequence starting at `*next_key` and mints the new R2 tuples. Provisional
-/// values are fresh_base + the shard-local allocation index, so the offset
-/// doubles as the allocation-order position — renumbering in shard order
-/// reproduces the monolithic solver's worklist-order renumbering exactly.
+/// sequence starting at `*next_key`, mints the new R2 tuples, and records
+/// the checkpoint state: the counter after the shard and the colors of its
+/// repair-target partitions. Provisional values are fresh_base + the
+/// shard-local allocation index, so the offset doubles as the
+/// allocation-order position — renumbering in shard order reproduces the
+/// monolithic solver's worklist-order renumbering exactly.
 ResolvedShard ResolveShard(const PreparedPlan& prepared,
+                           const std::vector<uint8_t>& is_repair_partition,
                            const ShardOutput& out, int64_t* next_key) {
   ResolvedShard shard;
   shard.shard_id = out.shard_id;
@@ -110,6 +120,9 @@ ResolvedShard ResolveShard(const PreparedPlan& prepared,
       if (r.key >= fresh_base) r.key = shard_first + (r.key - fresh_base);
       rb.rows.push_back(r);
     }
+    if (is_repair_partition[block.partition]) {
+      for (ShardRow r : rb.rows) shard.repair_colors.emplace_back(r.row, r.key);
+    }
     const std::vector<int64_t>& combo =
         prepared.partitions[block.partition].combo;
     rb.new_tuples.reserve(block.num_fresh);
@@ -121,6 +134,7 @@ ResolvedShard ResolveShard(const PreparedPlan& prepared,
     shard.blocks.push_back(std::move(rb));
   }
   *next_key = shard_first + assigned;
+  shard.next_key = *next_key;
   return shard;
 }
 
@@ -167,6 +181,12 @@ std::string SerializeResolvedShard(const ResolvedShard& shard) {
       for (int64_t code : t.combo) PutI64(&bytes, code);
     }
   }
+  PutI64(&bytes, shard.next_key);
+  PutU64(&bytes, shard.repair_colors.size());
+  for (const auto& [row, key] : shard.repair_colors) {
+    PutU64(&bytes, row);
+    PutI64(&bytes, key);
+  }
   return bytes;
 }
 
@@ -187,14 +207,26 @@ Status TableSink::Begin(const PreparedPlan& prepared) {
 }
 
 Status TableSink::Consume(const ResolvedShard& shard) {
+  // Shards may come from a replayed stream file, so every index is checked
+  // before it touches a table.
   std::vector<int64_t> codes(r2_hat_.schema().NumColumns());
   for (const ResolvedShard::Block& block : shard.blocks) {
     for (ShardRow r : block.rows) {
-      CEXTEND_CHECK(r.key != kNoColor) << "row " << r.row << " uncolored";
+      if (r.row >= r1_hat_.NumRows() || r.key == kNoColor) {
+        return Status::InvalidArgument("bad row record: row " +
+                                       std::to_string(r.row) + " key " +
+                                       std::to_string(r.key));
+      }
       r1_hat_.SetCode(r.row, fk_col_, r.key);
       ++rows_written_;
     }
     for (const ResolvedShard::NewTuple& t : block.new_tuples) {
+      if (t.combo.size() != b_cols_r2_.size()) {
+        return Status::InvalidArgument("bad tuple record: key " +
+                                       std::to_string(t.key) + " has " +
+                                       std::to_string(t.combo.size()) +
+                                       " codes");
+      }
       codes.assign(r2_hat_.schema().NumColumns(), kNullCode);
       codes[k2_col_] = t.key;
       for (size_t i = 0; i < b_cols_r2_.size(); ++i) {
@@ -409,10 +441,8 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
         resume.next_key >= 0 ? resume.next_key : prepared.fresh_base;
     st.charged.assign(num_shards, 0);
     st.completed.resize(num_shards);
-    // cextend-lint: unordered-iteration-ok(source is the resume point's
-    // sorted vector, not the map; keyed assignment is order-independent)
-    for (const auto& rc : resume.repair_colors) {
-      st.repair_colors[rc.first] = rc.second;
+    for (const auto& [row, key] : resume.repair_colors) {
+      st.color_of_row[row] = key;
     }
     st.stats.num_partitions = prepared.partitions.size();
     st.stats.invalid_rows = plan.invalid_rows.size();
@@ -476,13 +506,10 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
         while (st.next_retire < num_shards &&
                st.completed[st.next_retire] != nullptr) {
           ShardOutput& retire = *st.completed[st.next_retire];
-          ResolvedShard resolved =
-              ResolveShard(prepared, retire, &st.next_key);
-          for (size_t b = 0; b < resolved.blocks.size(); ++b) {
-            if (!is_repair_partition[retire.blocks[b].partition]) continue;
-            for (ShardRow r : resolved.blocks[b].rows) {
-              st.repair_colors[r.row] = r.key;
-            }
+          ResolvedShard resolved = ResolveShard(prepared, is_repair_partition,
+                                                retire, &st.next_key);
+          for (const auto& [row, key] : resolved.repair_colors) {
+            st.color_of_row[row] = key;
           }
           st.stats.skipped_vertices += retire.skipped_vertices;
           st.stats.naive_oracle_fallbacks += retire.naive_oracle_fallbacks;
@@ -514,14 +541,14 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
   // into locals under a final lock so the repair pass below reads
   // lock-free.
   Phase2Stats stats;
-  std::unordered_map<uint32_t, int64_t> repair_colors;
+  std::unordered_map<uint32_t, int64_t> color_of_row;
   int64_t next_key;
   {
     MutexLock lock(st.mu);
     if (!st.first_error.ok()) return st.first_error;
     CEXTEND_CHECK(st.next_retire == num_shards);
     stats = std::move(st.stats);
-    repair_colors = std::move(st.repair_colors);
+    color_of_row = std::move(st.color_of_row);
     next_key = st.next_key;
   }
   stats.coloring_seconds = coloring_seconds;
@@ -586,7 +613,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
         // Same-key buckets as local vertex ids.
         std::unordered_map<int64_t, std::vector<size_t>> bucket;
         for (size_t v = 0; v < num_colored; ++v) {
-          bucket[repair_colors.at(oracle_rows[v])].push_back(v);
+          bucket[color_of_row.at(oracle_rows[v])].push_back(v);
         }
         for (size_t g = 0; g < group.size(); ++g) {
           size_t local = num_colored + g;
@@ -615,6 +642,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       }
     }
     repair.blocks.push_back(std::move(block));
+    repair.next_key = next_key;
     CEXTEND_RETURN_IF_ERROR(sink->Consume(repair));
   }
   stats.new_r2_tuples = static_cast<size_t>(next_key - prepared.fresh_base);

@@ -11,10 +11,13 @@
 //
 // ExecutePlan drives emission with at most `max_resident_shards` shards in
 // flight; shards retire to the RowSink strictly in shard order, which is when
-// provisional fresh keys are renumbered into the global sequence. Because the
-// worklist order, per-partition streams, and renumbering order are all
-// independent of the shard map and the thread count, the concatenated sink
-// stream is byte-identical to the monolithic solve for the same seed.
+// provisional fresh keys are renumbered into the global sequence and the
+// shard's checkpoint state (fresh-key counter, repair-target colors) is
+// recorded on the ResolvedShard — the one place that state is decided.
+// Because the worklist order, per-partition streams, and renumbering order
+// are all independent of the shard map and the thread count, the
+// concatenated sink stream is byte-identical to the monolithic solve for the
+// same seed.
 
 #ifndef CEXTEND_CORE_SHARD_EXECUTOR_H_
 #define CEXTEND_CORE_SHARD_EXECUTOR_H_
@@ -73,6 +76,8 @@ std::string SerializeShardOutput(const ShardOutput& out);
 /// Blocks stay per-partition so sink bytes never depend on the shard map.
 /// The repair stage retires as one extra ResolvedShard (shard_id =
 /// plan.num_shards()) with a single block of worklist_idx = kRepairBlock.
+/// `next_key` and `repair_colors` are the checkpoint state the executor
+/// records at retirement; a durable sink persists exactly these.
 struct ResolvedShard {
   static constexpr uint64_t kRepairBlock = UINT64_MAX;
   struct NewTuple {
@@ -86,6 +91,12 @@ struct ResolvedShard {
   };
   size_t shard_id = 0;
   std::vector<Block> blocks;
+  /// Fresh-key counter after this shard: the next key the run would mint.
+  int64_t next_key = 0;
+  /// (row, key) colors of this shard's repair-target partitions, in block
+  /// order — the only per-row state the repair stage reads. Always empty on
+  /// the repair shard.
+  std::vector<std::pair<uint32_t, int64_t>> repair_colors;
 };
 
 /// Canonical byte encoding of a ResolvedShard (executor determinism tests).
@@ -105,8 +116,10 @@ class RowSink {
 };
 
 /// In-memory sink for the legacy API: clones R1/R2 up front, writes FK cells
-/// and appends new R2 tuples as shards retire. Finish verifies every join
-/// view row received a key.
+/// and appends new R2 tuples as shards retire. Consume rejects, with
+/// InvalidArgument, a row id outside R1, an uncolored key, or a tuple whose
+/// width is not |B| (shards replayed from a stream file are untrusted).
+/// Finish verifies every join view row received a key.
 class TableSink : public RowSink {
  public:
   TableSink(const Table& r1, const Table& r2, const PairSchema& names);
@@ -196,8 +209,9 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
                                 const Phase2Options& options,
                                 ThreadPool* pool = nullptr);
 
-/// Restart state for ExecutePlan when resuming over a durable prefix (see
-/// src/core/stream_checkpoint.h, which derives one from a CXMF manifest).
+/// Restart state for ExecutePlan when resuming over a durable prefix.
+/// LoadResumePoint (src/core/stream_checkpoint.h) fills one directly from
+/// the checkpoint fields a CXMF manifest recorded per retired shard.
 /// Default-constructed = a fresh run. Because shards are pure functions of
 /// (plan, shard id) and renumbering is in retirement order, an execution
 /// resumed from this state produces exactly the bytes the uninterrupted run

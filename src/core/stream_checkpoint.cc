@@ -10,19 +10,19 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <streambuf>
 
+#include "util/byte_codec.h"
 #include "util/fault_injection.h"
+#include "util/hash.h"
 #include "util/logging.h"
-#include "util/sanitize.h"
 
 namespace cextend {
 namespace {
 
 constexpr char kManifestMagic[4] = {'C', 'X', 'M', 'F'};
 constexpr uint32_t kManifestVersion = 1;
-/// magic + version + plan digest + shard count.
-constexpr size_t kFileHeaderBytes = 4 + 4 + 8 + 8;
 /// kind + shard id + end offset + range checksum + next key + rows + tuples
 /// + color count (colors and the trailing record checksum follow).
 constexpr size_t kRecordFixedBytes = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
@@ -32,63 +32,107 @@ constexpr size_t kBufferSpill = size_t{1} << 16;
 /// Replay hands the sink synthetic shards of at most this many records.
 constexpr size_t kReplayChunkRecords = size_t{1} << 16;
 
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+/// Append-only file with explicit durability and checked writes, the I/O
+/// primitive under both the stream and its manifest. Every write path
+/// surfaces a Status (no silent short writes), failures are sticky, and the
+/// fault sites "sink.write" (fails before any byte lands), "sink.torn_write"
+/// (half the payload reaches the file, then the write fails), and
+/// "sink.flush" (Sync fails) are injected here.
+class DurableFile {
+ public:
+  /// Creates/truncates `path` for a fresh stream.
+  static StatusOr<std::unique_ptr<DurableFile>> Create(const std::string& path);
 
-// SplitMix64 finalizer; wraparound is intentional (util/sanitize.h).
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+  /// Opens `path` for appending at `offset`, truncating any torn tail past
+  /// it (the resume path). The truncation is fsync'd before returning.
+  static StatusOr<std::unique_ptr<DurableFile>> OpenAt(const std::string& path,
+                                                       uint64_t offset);
 
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t FnvAccumulate(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+  ~DurableFile();
+  DurableFile(const DurableFile&) = delete;
+  DurableFile& operator=(const DurableFile&) = delete;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
+  /// Appends `n` bytes (buffered; a large buffer is spilled to the fd).
+  Status Append(const char* data, size_t n);
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
+  /// Flushes the buffer and fsyncs the fd — the durability boundary.
+  Status Sync();
 
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
+  /// Logical end offset: bytes successfully appended since the start of the
+  /// file (buffered bytes count; torn bytes past a failed append do not).
+  uint64_t offset() const { return offset_; }
 
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
+  /// Running FNV-1a over the bytes appended since the last call; resets the
+  /// accumulator (one call per manifest record = per-range checksums).
+  uint64_t TakeRangeChecksum();
 
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
+  /// First I/O failure, sticky. Ok while the file is healthy.
+  const Status& io_status() const { return io_status_; }
 
-int64_t GetI64(const char* p) { return static_cast<int64_t>(GetU64(p)); }
+  /// ostream view for text emitters (TextStreamSink). Write failures set
+  /// badbit on this stream *and* io_status(), so both error channels agree.
+  std::ostream& stream() { return stream_; }
 
-}  // namespace
+ private:
+  class Buf;
+  DurableFile(int fd, std::string path, uint64_t offset);
 
-uint64_t PlanDigest(const SynthesisPlan& plan) {
-  const std::string bytes = plan.Serialize();
-  return Mix64(FnvAccumulate(kFnvBasis, bytes.data(), bytes.size()) ^
-               static_cast<uint64_t>(bytes.size()));
-}
+  Status FlushBuffer();
+  Status WriteToFd(const char* data, size_t n);
+
+  int fd_;
+  std::string path_;
+  uint64_t offset_;
+  uint64_t range_fnv_;
+  std::string buffer_;
+  Status io_status_;
+  std::unique_ptr<Buf> buf_;
+  std::ostream stream_;
+};
+
+/// RowSink that makes the text stream durable: after the text sink consumes
+/// a shard, the data file is fsync'd and a manifest record is committed
+/// ("manifest.commit" fault site). Every record field comes from an owner
+/// elsewhere: offsets and range checksums from the data file, row/tuple
+/// counters from the text sink, and the fresh-key counter and repair colors
+/// from the checkpoint state the executor records on each ResolvedShard.
+class DurableStreamSink : public RowSink {
+ public:
+  /// `resume` continues an existing manifest when its header is committed;
+  /// otherwise Begin writes a fresh one.
+  DurableStreamSink(TextStreamSink* text, DurableFile* data,
+                    DurableFile* manifest, uint64_t plan_digest,
+                    const StreamResumePoint& resume)
+      : text_(text),
+        data_(data),
+        manifest_(manifest),
+        plan_digest_(plan_digest),
+        resumed_(resume.header_committed),
+        record_index_(resume.num_records),
+        next_key_(resume.resume.next_key) {}
+
+  Status Begin(const PreparedPlan& prepared) override;
+  Status Consume(const ResolvedShard& shard) override;
+  Status Finish() override;
+
+  size_t manifest_commits() const { return commits_; }
+
+ private:
+  Status CommitRecord(uint32_t kind, uint64_t shard_id,
+                      const std::vector<std::pair<uint32_t, int64_t>>& colors);
+  /// Folds the data file's sticky I/O error into a sink status, so callers
+  /// see the root cause and not just "stream write failed".
+  Status Enrich(Status st) const;
+
+  TextStreamSink* text_;
+  DurableFile* data_;
+  DurableFile* manifest_;
+  uint64_t plan_digest_;
+  bool resumed_;  ///< header already durable; Begin is a no-op
+  uint64_t record_index_;
+  int64_t next_key_;  ///< counter of the last committed record
+  size_t commits_ = 0;
+};
 
 // ---- DurableFile ----
 
@@ -118,7 +162,7 @@ DurableFile::DurableFile(int fd, std::string path, uint64_t offset)
     : fd_(fd),
       path_(std::move(path)),
       offset_(offset),
-      range_fnv_(kFnvBasis),
+      range_fnv_(kFnv1aBasis),
       buf_(new Buf(this)),
       stream_(buf_.get()) {
   buffer_.reserve(kBufferSpill);
@@ -203,7 +247,7 @@ Status DurableFile::Append(const char* data, size_t n) {
   }
   buffer_.append(data, n);
   offset_ += n;
-  range_fnv_ = FnvAccumulate(range_fnv_, data, n);
+  range_fnv_ = Fnv1a(range_fnv_, data, n);
   if (buffer_.size() >= kBufferSpill) return FlushBuffer();
   return Status::Ok();
 }
@@ -225,27 +269,11 @@ Status DurableFile::Sync() {
 
 uint64_t DurableFile::TakeRangeChecksum() {
   uint64_t h = range_fnv_;
-  range_fnv_ = kFnvBasis;
+  range_fnv_ = kFnv1aBasis;
   return h;
 }
 
 // ---- DurableStreamSink ----
-
-DurableStreamSink::DurableStreamSink(RowSink* inner, DurableFile* data,
-                                     DurableFile* manifest,
-                                     const PreparedPlan& prepared,
-                                     const StreamResumePoint* resume)
-    : inner_(inner),
-      data_(data),
-      manifest_(manifest),
-      prepared_(prepared),
-      is_repair_partition_(RepairPartitionFlags(prepared)),
-      resumed_(resume != nullptr && resume->header_committed),
-      record_index_(resumed_ ? resume->num_records : 0),
-      next_key_(resumed_ ? resume->next_key : prepared.fresh_base),
-      rows_written_(resumed_ ? resume->rows_written : 0),
-      tuples_written_(resumed_ ? resume->tuples_written : 0),
-      plan_digest_(PlanDigest(*prepared.plan)) {}
 
 Status DurableStreamSink::Enrich(Status st) const {
   if (st.ok() || data_->io_status().ok()) return st;
@@ -268,15 +296,15 @@ Status DurableStreamSink::CommitRecord(
   PutU64(&body, data_->offset());
   PutU64(&body, data_->TakeRangeChecksum());
   PutI64(&body, next_key_);
-  PutU64(&body, rows_written_);
-  PutU64(&body, tuples_written_);
+  PutU64(&body, text_->rows_written());
+  PutU64(&body, text_->tuples_written());
   PutU32(&body, static_cast<uint32_t>(colors.size()));
-  for (const auto& c : colors) {
-    PutU32(&body, c.first);
-    PutI64(&body, c.second);
+  for (const auto& [row, key] : colors) {
+    PutU32(&body, row);
+    PutI64(&body, key);
   }
-  PutU64(&body, Mix64(FnvAccumulate(kFnvBasis, body.data(), body.size()) ^
-                      plan_digest_ ^ record_index_));
+  PutU64(&body, MixHash64(0, Fnv1a(kFnv1aBasis, body.data(), body.size()) ^
+                                 plan_digest_ ^ record_index_));
   CEXTEND_RETURN_IF_ERROR(manifest_->Append(body.data(), body.size()));
   CEXTEND_RETURN_IF_ERROR(manifest_->Sync());
   ++record_index_;
@@ -292,33 +320,31 @@ Status DurableStreamSink::Begin(const PreparedPlan& prepared) {
   PutU64(&header, plan_digest_);
   PutU64(&header, prepared.plan->num_shards());
   CEXTEND_RETURN_IF_ERROR(manifest_->Append(header.data(), header.size()));
-  CEXTEND_RETURN_IF_ERROR(Enrich(inner_->Begin(prepared)));
+  CEXTEND_RETURN_IF_ERROR(Enrich(text_->Begin(prepared)));
   CEXTEND_RETURN_IF_ERROR(data_->Sync());
+  next_key_ = prepared.fresh_base;
   return CommitRecord(0, 0, {});
 }
 
 Status DurableStreamSink::Consume(const ResolvedShard& shard) {
-  CEXTEND_RETURN_IF_ERROR(Enrich(inner_->Consume(shard)));
-  std::vector<std::pair<uint32_t, int64_t>> colors;
-  for (const ResolvedShard::Block& block : shard.blocks) {
-    rows_written_ += block.rows.size();
-    for (const ResolvedShard::NewTuple& t : block.new_tuples) {
-      next_key_ = t.key + 1;  // keys ascend within and across blocks
-      ++tuples_written_;
-    }
-    if (block.worklist_idx == ResolvedShard::kRepairBlock) continue;
-    size_t partition = prepared_.worklist[block.worklist_idx];
-    if (!is_repair_partition_[partition]) continue;
-    for (ShardRow r : block.rows) colors.emplace_back(r.row, r.key);
-  }
+  CEXTEND_RETURN_IF_ERROR(Enrich(text_->Consume(shard)));
   CEXTEND_RETURN_IF_ERROR(data_->Sync());
-  return CommitRecord(1, shard.shard_id, colors);
+  next_key_ = shard.next_key;
+  return CommitRecord(1, shard.shard_id, shard.repair_colors);
 }
 
 Status DurableStreamSink::Finish() {
-  CEXTEND_RETURN_IF_ERROR(Enrich(inner_->Finish()));
+  CEXTEND_RETURN_IF_ERROR(Enrich(text_->Finish()));
   CEXTEND_RETURN_IF_ERROR(data_->Sync());
   return CommitRecord(2, 0, {});
+}
+
+}  // namespace
+
+uint64_t PlanDigest(const SynthesisPlan& plan) {
+  const std::string bytes = plan.Serialize();
+  return MixHash64(0, Fnv1a(kFnv1aBasis, bytes.data(), bytes.size()) ^
+                          static_cast<uint64_t>(bytes.size()));
 }
 
 // ---- LoadResumePoint ----
@@ -334,26 +360,56 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
   manifest.close();
   // A torn *file header* carries no commitments; start fresh. A complete
   // header that names a different plan is a caller error, not a torn tail.
-  if (bytes.size() < kFileHeaderBytes) return rp;
-  if (std::memcmp(bytes.data(), kManifestMagic, 4) != 0) {
+  ByteReader in(bytes);
+  std::string magic;
+  uint32_t version = 0;
+  uint64_t digest = 0, num_shards = 0;
+  if (!in.Bytes(4, &magic) || !in.U32(&version) || !in.U64(&digest) ||
+      !in.U64(&num_shards)) {
+    return rp;
+  }
+  if (std::memcmp(magic.data(), kManifestMagic, 4) != 0) {
     return Status::InvalidArgument(manifest_path + " is not a CXMF manifest");
   }
-  if (GetU32(bytes.data() + 4) != kManifestVersion) {
-    return Status::InvalidArgument(
-        manifest_path + ": unsupported CXMF version " +
-        std::to_string(GetU32(bytes.data() + 4)));
+  if (version != kManifestVersion) {
+    return Status::InvalidArgument(manifest_path +
+                                   ": unsupported CXMF version " +
+                                   std::to_string(version));
   }
-  const uint64_t digest = PlanDigest(plan);
-  if (GetU64(bytes.data() + 8) != digest) {
+  if (digest != PlanDigest(plan)) {
     return Status::InvalidArgument(
         manifest_path +
         " was written for a different plan; refusing to resume");
   }
-  if (GetU64(bytes.data() + 16) != plan.num_shards()) {
+  if (num_shards != plan.num_shards()) {
     return Status::InvalidArgument(manifest_path +
                                    ": shard count mismatch against the plan");
   }
-  rp.manifest_offset = kFileHeaderBytes;
+  rp.manifest_offset = in.pos();
+
+  // One manifest record; false when the bytes end before it does.
+  struct Record {
+    uint32_t kind;
+    uint64_t shard_id, end_offset, range_checksum;
+    int64_t next_key;
+    uint64_t rows, tuples;
+    std::vector<std::pair<uint32_t, int64_t>> colors;
+    uint64_t checksum;
+  };
+  auto read_record = [&in](Record* r) {
+    uint32_t num_colors = 0;
+    if (!in.U32(&r->kind) || !in.U64(&r->shard_id) ||
+        !in.U64(&r->end_offset) || !in.U64(&r->range_checksum) ||
+        !in.I64(&r->next_key) || !in.U64(&r->rows) || !in.U64(&r->tuples) ||
+        !in.U32(&num_colors) || num_colors > in.remaining() / kColorBytes) {
+      return false;
+    }
+    r->colors.resize(num_colors);
+    for (auto& [row, key] : r->colors) {
+      if (!in.U32(&row) || !in.I64(&key)) return false;
+    }
+    return in.U64(&r->checksum);
+  };
 
   // Longest valid record prefix: checksum-chained (record index and plan
   // digest are folded into every record checksum) and strictly sequenced
@@ -363,56 +419,43 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
     uint64_t begin, end, checksum;
   };
   std::vector<Range> ranges;
-  size_t pos = kFileHeaderBytes;
+  ExecuteResume& resume = rp.resume;
   uint64_t prev_end = 0;
-  uint64_t record_index = 0;
-  while (!rp.finished && bytes.size() - pos >= kRecordFixedBytes) {
-    const char* p = bytes.data() + pos;
-    const uint32_t kind = GetU32(p);
-    const uint64_t shard_id = GetU64(p + 4);
-    const uint64_t end_offset = GetU64(p + 12);
-    const uint64_t range_checksum = GetU64(p + 20);
-    const int64_t next_key = GetI64(p + 28);
-    const uint64_t rows = GetU64(p + 36);
-    const uint64_t tuples = GetU64(p + 44);
-    const uint32_t num_colors = GetU32(p + 52);
-    const size_t total =
-        kRecordFixedBytes + static_cast<size_t>(num_colors) * kColorBytes + 8;
-    if (bytes.size() - pos < total) break;
-    if (GetU64(p + total - 8) !=
-        Mix64(FnvAccumulate(kFnvBasis, p, total - 8) ^ digest ^
-              record_index)) {
+  Record r{};
+  while (!rp.finished) {
+    const size_t begin = in.pos();
+    if (!read_record(&r)) break;
+    const size_t body_bytes = in.pos() - begin - 8;
+    if (r.checksum != MixHash64(0, Fnv1a(kFnv1aBasis, bytes.data() + begin,
+                                         body_bytes) ^
+                                       digest ^ rp.num_records)) {
       break;
     }
-    if (end_offset < prev_end) break;
-    if (record_index == 0) {
-      if (kind != 0) break;
-    } else if (kind == 1) {
-      if (!rp.header_committed || shard_id != rp.next_shard ||
-          shard_id > plan.num_shards()) {
-        break;
-      }
-    } else if (kind == 2) {
-      if (rp.next_shard != plan.num_shards() + 1) break;
+    if (r.end_offset < prev_end) break;
+    if (rp.num_records == 0) {
+      if (r.kind != 0) break;
+    } else if (r.kind == 1) {
+      // Shards retire in order; shard id num_shards is the repair stage.
+      if (resume.repair_done || r.shard_id != resume.first_shard) break;
+    } else if (r.kind == 2) {
+      if (!resume.repair_done) break;
     } else {
       break;
     }
-    ranges.push_back(Range{prev_end, end_offset, range_checksum});
-    if (kind == 0) rp.header_committed = true;
-    if (kind == 1) rp.next_shard = shard_id + 1;
-    if (kind == 2) rp.finished = true;
-    rp.committed_offset = end_offset;
-    rp.next_key = next_key;
-    rp.rows_written = rows;
-    rp.tuples_written = tuples;
-    const char* color = p + kRecordFixedBytes;
-    for (uint32_t i = 0; i < num_colors; ++i, color += kColorBytes) {
-      rp.repair_colors.emplace_back(GetU32(color), GetI64(color + 4));
-    }
-    prev_end = end_offset;
-    pos += total;
-    rp.manifest_offset = pos;
-    rp.num_records = ++record_index;
+    ranges.push_back(Range{prev_end, r.end_offset, r.range_checksum});
+    if (r.kind == 0) rp.header_committed = true;
+    if (r.kind == 1 && r.shard_id == num_shards) resume.repair_done = true;
+    if (r.kind == 1 && r.shard_id < num_shards) ++resume.first_shard;
+    if (r.kind == 2) rp.finished = true;
+    rp.committed_offset = r.end_offset;
+    resume.next_key = r.next_key;
+    rp.rows_written = r.rows;
+    rp.tuples_written = r.tuples;
+    resume.repair_colors.insert(resume.repair_colors.end(), r.colors.begin(),
+                                r.colors.end());
+    prev_end = r.end_offset;
+    rp.manifest_offset = in.pos();
+    ++rp.num_records;
   }
   if (!rp.header_committed) return StreamResumePoint();
 
@@ -438,7 +481,7 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
   std::vector<char> chunk(kBufferSpill);
   for (const Range& r : ranges) {
     stream.seekg(static_cast<std::streamoff>(r.begin));
-    uint64_t h = kFnvBasis;
+    uint64_t h = kFnv1aBasis;
     uint64_t left = r.end - r.begin;
     while (left > 0) {
       const size_t take =
@@ -448,7 +491,7 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
         return Status::Internal("failed reading " + stream_path +
                                 " while validating committed ranges");
       }
-      h = FnvAccumulate(h, chunk.data(), take);
+      h = Fnv1a(h, chunk.data(), take);
       left -= take;
     }
     if (h != r.checksum) {
@@ -502,7 +545,7 @@ Status ReplayStream(const std::string& stream_path, uint64_t limit,
     if (line[0] == 'r') {
       const unsigned long row = std::strtoul(p, &end, 10);
       const long long key = std::strtoll(end, &end, 10);
-      if (end == p || *end != '\0') {
+      if (end == p || *end != '\0' || row > UINT32_MAX) {
         return Status::InvalidArgument(stream_path +
                                        ": malformed row record \"" + line +
                                        "\" in committed prefix");
@@ -579,15 +622,14 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
     stats.num_partitions = prepared.partitions.size();
     stats.invalid_rows = prepared.plan->invalid_rows.size();
     stats.new_r2_tuples =
-        static_cast<size_t>(rp.next_key - prepared.fresh_base);
+        static_cast<size_t>(rp.resume.next_key - prepared.fresh_base);
     stats.resumed_shards = num_shards + 1;
     return stats;
   }
 
   std::unique_ptr<DurableFile> data;
   std::unique_ptr<DurableFile> manifest;
-  const bool resuming = spec.resume && rp.header_committed;
-  if (resuming) {
+  if (rp.header_committed) {
     CEXTEND_ASSIGN_OR_RETURN(
         data, DurableFile::OpenAt(spec.stream_path, rp.committed_offset));
     CEXTEND_ASSIGN_OR_RETURN(
@@ -600,7 +642,6 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
           ReplayStream(spec.stream_path, rp.committed_offset, tee));
     }
   } else {
-    rp = StreamResumePoint();
     CEXTEND_ASSIGN_OR_RETURN(data, DurableFile::Create(spec.stream_path));
     CEXTEND_ASSIGN_OR_RETURN(manifest, DurableFile::Create(manifest_path));
   }
@@ -608,21 +649,15 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
   TextStreamSink text(data->stream());
   text.ResumeCounts(static_cast<size_t>(rp.rows_written),
                     static_cast<size_t>(rp.tuples_written));
-  DurableStreamSink durable(&text, data.get(), manifest.get(), prepared,
-                            resuming ? &rp : nullptr);
+  DurableStreamSink durable(&text, data.get(), manifest.get(),
+                            PlanDigest(*prepared.plan), rp);
   TeeSink teed(&durable, tee);
   RowSink* sink = tee != nullptr ? static_cast<RowSink*>(&teed) : &durable;
 
-  ExecuteResume resume;
-  resume.first_shard =
-      static_cast<size_t>(std::min<uint64_t>(rp.next_shard, num_shards));
-  resume.next_key = resuming ? rp.next_key : -1;
-  resume.repair_done = rp.next_shard > num_shards;
-  resume.repair_colors = rp.repair_colors;
-
   CEXTEND_ASSIGN_OR_RETURN(Phase2Stats stats,
-                           ExecutePlan(prepared, options, sink, resume));
-  stats.resumed_shards = static_cast<size_t>(rp.next_shard);
+                           ExecutePlan(prepared, options, sink, rp.resume));
+  stats.resumed_shards =
+      rp.resume.first_shard + (rp.resume.repair_done ? 1 : 0);
   stats.manifest_commits = durable.manifest_commits();
   return stats;
 }

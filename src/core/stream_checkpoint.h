@@ -8,8 +8,12 @@
 // ("CXMF", mirroring the "CXPL" plan encoding: fixed-width little-endian
 // fields, no maps) records one fsync'd record per retired shard with the
 // stream byte offset, a content checksum of the shard's byte range, the
-// fresh-key counter, and the retained repair-target colors. Commit protocol
-// at every shard retirement:
+// fresh-key counter, and the retained repair-target colors. The writer is a
+// sink private to stream_checkpoint.cc that derives none of these: offsets
+// and checksums come from the file, counters from its TextStreamSink, and
+// the key counter and colors from the ResolvedShard checkpoint fields.
+// LoadResumePoint fills the executor's ExecuteResume straight from the
+// records. Commit protocol at every shard retirement:
 //
 //   1. append the shard's records to the stream file, flush, fsync;
 //   2. append the manifest record, flush, fsync.
@@ -34,17 +38,14 @@
 //     u64 rows_written        cumulative `r` records in the stream
 //     u64 tuples_written      cumulative `n` records in the stream
 //     u32 num_colors | num_colors * (u32 row, i64 key)   repair colors
-//     u64 record_checksum     mix64(fnv(body) ^ plan_digest ^ record_index)
+//     u64 record_checksum     MixHash64(0, FNV-1a(body) ^ plan_digest ^
+//                                           record_index)
 
 #ifndef CEXTEND_CORE_STREAM_CHECKPOINT_H_
 #define CEXTEND_CORE_STREAM_CHECKPOINT_H_
 
 #include <cstdint>
-#include <memory>
-#include <ostream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/phase2.h"
 #include "core/plan.h"
@@ -58,80 +59,21 @@ namespace cextend {
 /// different plan is refused up front.
 uint64_t PlanDigest(const SynthesisPlan& plan);
 
-/// Append-only file with explicit durability and checked writes, the I/O
-/// primitive under both the stream and its manifest. Every write path
-/// surfaces a Status (no silent short writes), failures are sticky, and the
-/// fault sites "sink.write" (fails before any byte lands), "sink.torn_write"
-/// (half the payload reaches the file, then the write fails), and
-/// "sink.flush" (Sync fails) are injected here.
-class DurableFile {
- public:
-  /// Creates/truncates `path` for a fresh stream.
-  static StatusOr<std::unique_ptr<DurableFile>> Create(const std::string& path);
-
-  /// Opens `path` for appending at `offset`, truncating any torn tail past
-  /// it (the resume path). The truncation is fsync'd before returning.
-  static StatusOr<std::unique_ptr<DurableFile>> OpenAt(const std::string& path,
-                                                       uint64_t offset);
-
-  ~DurableFile();
-  DurableFile(const DurableFile&) = delete;
-  DurableFile& operator=(const DurableFile&) = delete;
-
-  /// Appends `n` bytes (buffered; a large buffer is spilled to the fd).
-  Status Append(const char* data, size_t n);
-
-  /// Flushes the buffer and fsyncs the fd — the durability boundary.
-  Status Sync();
-
-  /// Logical end offset: bytes successfully appended since the start of the
-  /// file (buffered bytes count; torn bytes past a failed append do not).
-  uint64_t offset() const { return offset_; }
-
-  /// Running FNV-1a over the bytes appended since the last call; resets the
-  /// accumulator (one call per manifest record = per-range checksums).
-  uint64_t TakeRangeChecksum();
-
-  /// First I/O failure, sticky. Ok while the file is healthy.
-  const Status& io_status() const { return io_status_; }
-
-  /// ostream view for text emitters (TextStreamSink). Write failures set
-  /// badbit on this stream *and* io_status(), so both error channels agree.
-  std::ostream& stream() { return stream_; }
-
- private:
-  class Buf;
-  DurableFile(int fd, std::string path, uint64_t offset);
-
-  Status FlushBuffer();
-  Status WriteToFd(const char* data, size_t n);
-
-  int fd_;
-  std::string path_;
-  uint64_t offset_;
-  uint64_t range_fnv_;
-  std::string buffer_;
-  Status io_status_;
-  std::unique_ptr<Buf> buf_;
-  std::ostream stream_;
-};
-
 /// Everything a resumed run needs from the durable prefix, reconstructed by
 /// LoadResumePoint from the manifest's valid record prefix. Default state =
 /// nothing durable (fresh run).
 struct StreamResumePoint {
   bool header_committed = false;  ///< kind-0 record present
   bool finished = false;          ///< kind-2 record present (run completed)
-  uint64_t next_shard = 0;        ///< committed kind-1 records; value
-                                  ///< num_shards+1 means repair retired too
   uint64_t committed_offset = 0;  ///< durable stream bytes
   uint64_t manifest_offset = 0;   ///< valid manifest prefix bytes
   uint64_t num_records = 0;       ///< committed records of any kind
-  int64_t next_key = -1;          ///< fresh-key counter at the checkpoint
-  uint64_t rows_written = 0;
-  uint64_t tuples_written = 0;
-  /// Retained repair-target colors, in retirement order.
-  std::vector<std::pair<uint32_t, int64_t>> repair_colors;
+  uint64_t rows_written = 0;      ///< `r` records in the committed stream
+  uint64_t tuples_written = 0;    ///< `n` records in the committed stream
+  /// The executor's restart state, filled straight from the records: shards
+  /// committed, whether the repair record is among them, the last record's
+  /// fresh-key counter, and every record's repair colors in order.
+  ExecuteResume resume;
 };
 
 /// Validates `manifest_path` against `plan` and `stream_path` and returns
@@ -151,43 +93,6 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
 /// Consume calls delivered, in order, under synthetic block framing).
 Status ReplayStream(const std::string& stream_path, uint64_t limit,
                     RowSink* sink);
-
-/// RowSink decorator that makes any inner sink's stream durable: after the
-/// inner sink consumes a shard, the data file is fsync'd and a manifest
-/// record is committed ("manifest.commit" fault site). Construct with the
-/// resume point to continue an existing manifest, nullptr for a fresh one.
-class DurableStreamSink : public RowSink {
- public:
-  DurableStreamSink(RowSink* inner, DurableFile* data, DurableFile* manifest,
-                    const PreparedPlan& prepared,
-                    const StreamResumePoint* resume);
-
-  Status Begin(const PreparedPlan& prepared) override;
-  Status Consume(const ResolvedShard& shard) override;
-  Status Finish() override;
-
-  size_t manifest_commits() const { return commits_; }
-
- private:
-  Status CommitRecord(uint32_t kind, uint64_t shard_id,
-                      const std::vector<std::pair<uint32_t, int64_t>>& colors);
-  /// Folds the data file's sticky I/O error into a sink status, so callers
-  /// see the root cause and not just "stream write failed".
-  Status Enrich(Status st) const;
-
-  RowSink* inner_;
-  DurableFile* data_;
-  DurableFile* manifest_;
-  const PreparedPlan& prepared_;
-  std::vector<uint8_t> is_repair_partition_;
-  bool resumed_;          ///< header already durable; Begin is a no-op
-  uint64_t record_index_;
-  int64_t next_key_;
-  uint64_t rows_written_;
-  uint64_t tuples_written_;
-  uint64_t plan_digest_;
-  size_t commits_ = 0;
-};
 
 /// Durable streaming execution request. `manifest_path` empty derives
 /// "<stream_path>.manifest". With `resume` set, execution restarts from the

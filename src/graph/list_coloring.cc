@@ -63,8 +63,7 @@ class CandidateIndex {
 
 ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
                                       std::vector<int64_t> initial,
-                                      const std::vector<int64_t>& candidates,
-                                      const ColoringOptions& options) {
+                                      const std::vector<int64_t>& candidates) {
   size_t n = oracle.NumVertices();
   ListColoringResult result;
   if (initial.empty()) {
@@ -94,15 +93,14 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
   std::vector<uint32_t> forbidden_mark(num_candidates, 0);
   uint32_t epoch = 0;
 
-  ConflictStructure layers =
-      options.use_structure ? oracle.Structure() : ConflictStructure{};
+  ConflictStructure layers = oracle.Structure();
   const ImplicitBicliqueFamily* implicit = layers.implicit;
   if (implicit != nullptr && implicit->num_bicliques() == 0) implicit = nullptr;
   size_t num_groups = implicit == nullptr ? 0 : implicit->num_groups();
   bool fast = layers.Decomposed() && num_groups <= kMaxIndexedGroups;
 
   if (!fast) {
-    // Generic reference path: one oracle query per vertex.
+    // Generic path: one oracle query per vertex.
     std::vector<int64_t> forbidden_list;
     for (int v : order) {
       forbidden_list.clear();

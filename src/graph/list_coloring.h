@@ -10,8 +10,9 @@
 // candidate index (no per-vertex set rebuild). Two paths produce identical
 // colorings:
 //
-//  * Generic (reference): one AppendForbiddenColors call per vertex —
-//    O(sum of degrees) color pushes plus candidate lookups.
+//  * Generic: one AppendForbiddenColors call per vertex — O(sum of degrees)
+//    color pushes plus candidate lookups. Taken for oracles that publish no
+//    structure (the naive oracle) and past 256 signature groups.
 //  * Structure fast path: when the oracle publishes its layer decomposition
 //    (ConflictStructure), the implicit-biclique layer is served by an
 //    incremental group-color index — count[group][candidate] of colored
@@ -50,22 +51,13 @@ struct ListColoringResult {
   std::vector<int> skipped;
 };
 
-struct ColoringOptions {
-  /// Serve forbidden-color queries from the oracle's layer decomposition
-  /// (ConflictStructure) when it publishes one. Off forces the generic
-  /// AppendForbiddenColors reference path; results are bit-identical either
-  /// way (equivalence-tested), so this is a perf/test knob, not semantics.
-  bool use_structure = true;
-};
-
 /// Runs ColoringLF(G, c, L). `initial` may be empty (all uncolored) or one
 /// entry per vertex. `candidates` is the ordered list L; "smallest available
 /// color" = first non-forbidden entry. Already-colored vertices are skipped,
 /// matching the resumable use in Algorithm 4.
 ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
                                       std::vector<int64_t> initial,
-                                      const std::vector<int64_t>& candidates,
-                                      const ColoringOptions& options = {});
+                                      const std::vector<int64_t>& candidates);
 
 }  // namespace cextend
 

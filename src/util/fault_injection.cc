@@ -4,38 +4,17 @@
 #include <cstdlib>
 #include <map>
 
-#include "util/sanitize.h"
+#include "util/byte_codec.h"
+#include "util/hash.h"
 #include "util/thread_annotations.h"
 
 namespace cextend {
-namespace {
-
-// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash. Wraparound is
-// intentional (util/sanitize.h).
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-CEXTEND_NO_SANITIZE_INTEGER
-uint64_t HashSite(const std::string& site) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 struct FaultInjection::Impl {
   struct Site {
-    // fire iff mix64(seed ^ site_hash ^ hit) < threshold (p scaled to 2^64;
-    // p >= 1 stored as UINT64_MAX meaning "always").
+    // fire iff MixHash64(0, seed ^ site_hash ^ hit) < threshold (p scaled
+    // to 2^64; p >= 1 stored as UINT64_MAX meaning "always"). site_hash is
+    // the FNV-1a of the site name.
     uint64_t threshold = UINT64_MAX;
     uint64_t site_hash = 0;
     std::atomic<uint64_t> hits{0};
@@ -92,7 +71,7 @@ void FaultInjection::Configure(const std::string& spec, uint64_t seed) {
     }
     if (name.empty() || p <= 0.0) continue;
     Impl::Site& site = impl_->sites[name];
-    site.site_hash = HashSite(name);
+    site.site_hash = Fnv1a(kFnv1aBasis, name.data(), name.size());
     site.threshold = p >= 1.0
                          ? UINT64_MAX
                          : static_cast<uint64_t>(
@@ -117,7 +96,7 @@ bool FaultInjection::ShouldFail(const char* site) {
   // Map entries are stable; counters are atomic, so the lock can be dropped.
   uint64_t hit = s->hits.fetch_add(1, std::memory_order_relaxed);
   bool fire = s->threshold == UINT64_MAX ||
-              Mix64(seed ^ s->site_hash ^ hit) < s->threshold;
+              MixHash64(0, seed ^ s->site_hash ^ hit) < s->threshold;
   if (fire) s->fired.fetch_add(1, std::memory_order_relaxed);
   return fire;
 }

@@ -151,7 +151,6 @@ TEST(SynthesisPlanTest, SerializeRoundTripIsByteStable) {
   EXPECT_EQ(restored.value().row_combo, plan.row_combo);
   EXPECT_EQ(restored.value().invalid_rows, plan.invalid_rows);
   EXPECT_EQ(restored.value().shard_begin, plan.shard_begin);
-  EXPECT_EQ(restored.value().shard_seeds, plan.shard_seeds);
   // Byte stability: re-serializing the deserialized plan is the identity.
   EXPECT_EQ(restored.value().Serialize(), bytes);
 }
@@ -167,6 +166,57 @@ TEST(SynthesisPlanTest, DeserializeRejectsCorruption) {
   EXPECT_FALSE(
       SynthesisPlan::Deserialize(bytes.substr(0, bytes.size() / 2)).ok());
   EXPECT_FALSE(SynthesisPlan::Deserialize(bytes + "x").ok());
+
+  // Hostile counts: a real plan's bytes with one count field overwritten.
+  // Each must be refused before anything is sized from the count.
+  const SynthesisPlan plan = BuildPlanFor(instance, v_join, 3);
+  ASSERT_EQ(plan.Serialize(), bytes);
+  auto overwrite = [&bytes](size_t offset, uint64_t value, int width) {
+    std::string hostile = bytes;
+    for (int i = 0; i < width; ++i) {
+      hostile[offset + i] = static_cast<char>(value >> (8 * i));
+    }
+    return hostile;
+  };
+  auto expect_refused = [](const std::string& hostile, const char* what) {
+    auto restored = SynthesisPlan::Deserialize(hostile);
+    ASSERT_FALSE(restored.ok()) << what;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  // Layout: magic, u32 version, u64 seed, u64 num_rows, u32 q, q names,
+  // u32 num_combos, combos, row combos, u32 num_invalid, invalid rows,
+  // u32 num_shards, shard boundaries.
+  const size_t kNumRows = 4 + 4 + 8;
+  size_t num_combos_at = kNumRows + 8 + 4;
+  for (const std::string& name : plan.b_names) {
+    num_combos_at += 4 + name.size();
+  }
+  const size_t combo_bytes = plan.combo_table.size() * plan.b_names.size() * 8;
+  const size_t num_invalid_at =
+      num_combos_at + 4 + combo_bytes + plan.row_combo.size() * 4;
+  const size_t num_shards_at =
+      num_invalid_at + 4 + plan.invalid_rows.size() * 4;
+  expect_refused(overwrite(kNumRows, uint64_t{1} << 40, 8), "num_rows 2^40");
+  expect_refused(overwrite(num_combos_at, UINT32_MAX, 4), "num_combos");
+  expect_refused(overwrite(num_invalid_at, UINT32_MAX, 4), "num_invalid");
+  expect_refused(overwrite(num_shards_at, UINT32_MAX, 4), "num_shards");
+
+  // Version-1 plans carried per-shard seeds; they are refused cleanly.
+  expect_refused(overwrite(4, 1, 4), "version 1");
+}
+
+TEST(SynthesisPlanTest, PrepareRejectsRepeatedCombo) {
+  Instance instance = MakeInstance();
+  Table v_join = instance.v_join.Clone();
+  SynthesisPlan plan = BuildPlanFor(instance, v_join, 3);
+  // Row 1 is valid; give it a second copy of its own combo. Partitioning by
+  // combo id would then split one partition in two.
+  plan.combo_table.push_back(plan.combo_table[plan.row_combo[1]]);
+  plan.row_combo[1] = static_cast<uint32_t>(plan.combo_table.size() - 1);
+  auto prepared = PreparePlan(plan, v_join, instance.housing, instance.names,
+                              instance.dcs);
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardExecutorTest, ShardEmittedAloneFromDeserializedPlanIsByteIdentical) {

@@ -21,7 +21,9 @@
 #include "core/shard_executor.h"
 #include "core/stream_checkpoint.h"
 #include "test_util.h"
+#include "util/byte_codec.h"
 #include "util/fault_injection.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace cextend {
@@ -486,8 +488,137 @@ TEST(StreamCheckpointTest, MissingManifestIsAFreshRun) {
                             planned->plan);
   ASSERT_TRUE(rp.ok());
   EXPECT_FALSE(rp.value().header_committed);
-  EXPECT_EQ(rp.value().next_shard, 0u);
+  EXPECT_EQ(rp.value().resume.first_shard, 0u);
   EXPECT_EQ(rp.value().committed_offset, 0u);
+}
+
+// The manifest layout documented in stream_checkpoint.h, decoded field by
+// field from a real durable run (independently of the writer's codec), so a
+// writer change that moves a byte fails here.
+TEST(StreamCheckpointTest, ManifestMatchesDocumentedLayout) {
+  Instance instance = MakeInstance();
+  auto planned = Prepare(instance, 7);
+  const PreparedPlan& prepared = planned->prepared;
+  const std::string stream_path = TempPath("layout.stream");
+  const std::string manifest_path = TempPath("layout.manifest");
+  DurableStreamSpec spec;
+  spec.stream_path = stream_path;
+  spec.manifest_path = manifest_path;
+  auto stats = ExecutePlanDurable(prepared, MakeOptions(2, 2), spec);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::string stream = ReadFileBytes(stream_path);
+  const std::string m = ReadFileBytes(manifest_path);
+
+  size_t pos = 0;
+  auto le = [&m, &pos](int width) {
+    uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+      v |= uint64_t{static_cast<uint8_t>(m[pos + i])} << (8 * i);
+    }
+    pos += width;
+    return v;
+  };
+  // 24-byte file header.
+  ASSERT_GE(m.size(), 24u);
+  EXPECT_EQ(m.substr(0, 4), "CXMF");
+  pos = 4;
+  EXPECT_EQ(le(4), 1u);
+  const uint64_t digest = PlanDigest(planned->plan);
+  EXPECT_EQ(le(8), digest);
+  const uint64_t num_shards = planned->plan.num_shards();
+  EXPECT_EQ(le(8), num_shards);
+  ASSERT_EQ(pos, 24u);
+
+  // Rows of repair-target partitions: the colors the records must carry.
+  size_t expected_colors = 0;
+  for (const auto& [combo_id, group] : prepared.repair_groups) {
+    auto it = prepared.partition_index.find(
+        prepared.combos.combo_codes(combo_id));
+    if (it != prepared.partition_index.end()) {
+      expected_colors += prepared.partitions[it->second].rows.size();
+    }
+  }
+  ASSERT_GT(expected_colors, 0u);
+
+  uint64_t index = 0, prev_end = 0, colors = 0;
+  int64_t next_key = 0;
+  uint64_t rows = 0, tuples = 0;
+  while (pos < m.size()) {
+    SCOPED_TRACE("record " + std::to_string(index));
+    const size_t begin = pos;
+    ASSERT_GE(m.size() - pos, 56u + 8u);
+    const uint64_t kind = le(4);
+    const uint64_t shard_id = le(8);
+    const uint64_t end_offset = le(8);
+    const uint64_t range_checksum = le(8);
+    next_key = static_cast<int64_t>(le(8));
+    rows = le(8);
+    tuples = le(8);
+    const uint64_t num_colors = le(4);
+    ASSERT_EQ(pos - begin, 56u);
+    ASSERT_GE(m.size() - pos, num_colors * 12 + 8);
+    for (uint64_t c = 0; c < num_colors; ++c) {
+      const uint64_t row = le(4);
+      const int64_t key = static_cast<int64_t>(le(8));
+      EXPECT_NE(stream.find("r " + std::to_string(row) + " " +
+                            std::to_string(key) + "\n"),
+                std::string::npos);
+    }
+    colors += num_colors;
+    const size_t body = pos - begin;
+    EXPECT_EQ(le(8), MixHash64(0, Fnv1a(kFnv1aBasis, m.data() + begin, body) ^
+                                      digest ^ index));
+    EXPECT_EQ(pos - begin, 56 + 12 * num_colors + 8);
+
+    // Kinds: 0, then 1 for shards 0..num_shards (num_shards = repair), 2.
+    const uint64_t expected_kind =
+        index == 0 ? 0 : (index <= num_shards + 1 ? 1 : 2);
+    EXPECT_EQ(kind, expected_kind);
+    EXPECT_EQ(shard_id, expected_kind == 1 ? index - 1 : 0);
+    if (shard_id == num_shards) {
+      EXPECT_EQ(num_colors, 0u);  // the repair record carries no colors
+    }
+    EXPECT_GT(end_offset, prev_end);
+    ASSERT_LE(end_offset, stream.size());
+    EXPECT_EQ(range_checksum, Fnv1a(kFnv1aBasis, stream.data() + prev_end,
+                                    end_offset - prev_end));
+    prev_end = end_offset;
+    ++index;
+  }
+  EXPECT_EQ(pos, m.size());
+  EXPECT_EQ(index, num_shards + 3);
+  EXPECT_EQ(prev_end, stream.size());
+  EXPECT_EQ(colors, expected_colors);
+  EXPECT_EQ(next_key - prepared.fresh_base,
+            static_cast<int64_t>(stats.value().new_r2_tuples));
+  EXPECT_EQ(rows, planned->plan.num_rows);
+  EXPECT_EQ(tuples, stats.value().new_r2_tuples);
+}
+
+// ReplayStream feeds parsed stream records to the sink; a committed prefix
+// is only checksummed, not trusted, so out-of-range records must come back
+// as errors instead of reaching the tables.
+TEST(StreamCheckpointTest, ReplayRejectsOutOfRangeRecords) {
+  Instance instance = MakeInstance();
+  const std::string path = TempPath("hostile.stream");
+  for (const char* stream : {"r 4294967295 7\n", "r 99999999999 7\n",
+                             "r 0 -9223372036854775808\n", "n 5\n"}) {
+    SCOPED_TRACE(stream);
+    WriteFileBytes(path, stream);
+    TableSink sink(instance.persons, instance.housing, instance.names);
+    const Status st = ReplayStream(path, std::string(stream).size(), &sink);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  }
+  // The same records in range replay fine.
+  const std::string good = "r 399 7\nn 17 " +
+                           std::to_string(instance.housing.GetCode(0, 1)) +
+                           "\n";
+  WriteFileBytes(path, good);
+  TableSink sink(instance.persons, instance.housing, instance.names);
+  EXPECT_TRUE(ReplayStream(path, good.size(), &sink).ok());
+  const size_t hid = sink.r1_hat().schema().IndexOrDie("hid");
+  EXPECT_EQ(sink.r1_hat().GetCode(399, hid), 7);
+  EXPECT_EQ(sink.new_r2_tuples(), 1u);
 }
 
 TEST(ShardExecutorResumeTest, RejectsInconsistentResumePoints) {

@@ -62,7 +62,8 @@ compare() {
 }
 
 # ---- Leg 1: injected fault interruptions (clean process exit mid-stream,
-# torn mid-record write included), then a single --resume run. ----
+# torn mid-record write included), then a single --resume run at another
+# thread count and admission window. ----
 for fault in "manifest.commit=0.5" "sink.torn_write=0.5"; do
   rm -f cur.stream cur.manifest cur_r1.csv cur_r2.csv
   interrupted=0
@@ -79,8 +80,12 @@ for fault in "manifest.commit=0.5" "sink.torn_write=0.5"; do
     echo "ERROR: $fault never interrupted the run" >&2
     exit 1
   fi
-  echo "== interrupted by $fault (fault seed $seed); resuming =="
+  # Resume at a different geometry: one thread and a two-shard admission
+  # window instead of two threads and an unbounded one. The shard count (and
+  # so the plan and its manifest digest) stays, and the bytes must too.
+  echo "== interrupted by $fault (fault seed $seed); resuming at 1 thread =="
   run --stream-out=cur.stream --manifest=cur.manifest --resume --shards=64 \
+      --threads=1 --max-resident-shards=2 \
       --out-r1=cur_r1.csv --out-r2=cur_r2.csv > /dev/null
   compare "$fault"
 done
