@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: simplex
 // LP solves, conflict-oracle construction, greedy list coloring, CC pairwise
-// classification, binning, and the DC output check.
+// classification, binning, repair selection, the final fill, and the DC
+// output check.
 //
 // Every per-size run additionally appends one JSON-lines record
 //   {"kernel": "<name>", "n": <arg>, "seconds": <time per iteration>}
@@ -20,13 +21,18 @@
 #include "constraints/relationship.h"
 #include "core/binning.h"
 #include "core/conflict.h"
+#include "core/fill_state.h"
 #include "core/join_view.h"
+#include "core/phase1_hasse.h"
+#include "core/plan.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
 #include "graph/hypergraph.h"
 #include "graph/list_coloring.h"
 #include "ilp/solver.h"
 #include "util/rng.h"
+#include "util/string_util.h"
+#include "util/timer.h"
 
 namespace cextend {
 namespace {
@@ -290,6 +296,132 @@ void BM_InvalidRepairScanProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_InvalidRepairScanProbe)
     ->Arg(64)->Arg(256)->Arg(1024)->Complexity();
+
+// ---- Phase-I signature kernels: repair selection and the final fill. ----
+//
+// Both choose combos from one fact, the set of CCs covering a row or bin, so
+// they run once per distinct set. The fixture is housemate-shaped: R1 rows
+// over Rel x Age x G (G is referenced by no CC, so it only multiplies bins),
+// R2 with 32 areas x 4 types, 4 keys per combo. Owners are covered by one
+// CC per area in the first half, and Age >= 60 by a Type CC; RepairSelection
+// adds age bands so invalid rows carry many distinct signatures.
+
+struct SignatureFixture {
+  Table r1;
+  Table r2;
+  PairSchema names;
+  std::vector<CardinalityConstraint> ccs;
+};
+
+SignatureFixture MakeSignatureFixture(size_t n, size_t age_bands) {
+  Rng rng(41);
+  Schema r1_schema{{"pid", DataType::kInt64},
+                   {"Rel", DataType::kString},
+                   {"Age", DataType::kInt64},
+                   {"G", DataType::kInt64},
+                   {"hid", DataType::kInt64}};
+  Table r1{r1_schema};
+  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
+  for (size_t i = 0; i < n; ++i) {
+    CEXTEND_CHECK(r1.AppendRow({Value(static_cast<int64_t>(i + 1)),
+                                Value(rels[rng.UniformInt(0, 3)]),
+                                Value(rng.UniformInt(0, 99)),
+                                Value(rng.UniformInt(0, 511)), Value::Null()})
+                      .ok());
+  }
+  Schema r2_schema{{"hid", DataType::kInt64},
+                   {"Area", DataType::kString},
+                   {"Type", DataType::kString}};
+  Table r2{r2_schema};
+  for (int64_t h = 0; h < 32 * 4 * 4; ++h) {
+    CEXTEND_CHECK(r2.AppendRow({Value(h + 1), Value(StrFormat("a%lld",
+                                                  static_cast<long long>(h % 32))),
+                                Value(StrFormat("t%lld",
+                                                static_cast<long long>(h / 32 % 4)))})
+                      .ok());
+  }
+  auto names = PairSchema::Infer(r1, r2, "pid", "hid", "hid");
+  CEXTEND_CHECK(names.ok());
+  std::vector<CardinalityConstraint> ccs;
+  for (int a = 0; a < 16; ++a) {
+    CardinalityConstraint cc;
+    cc.name = StrFormat("owner_a%d", a);
+    cc.r1_condition.Eq("Rel", Value("Owner"));
+    cc.r2_condition.Eq("Area", Value(StrFormat("a%d", a)));
+    cc.target = 1;
+    ccs.push_back(std::move(cc));
+  }
+  {
+    CardinalityConstraint cc;
+    cc.name = "senior_t0";
+    cc.r1_condition.Between("Age", 60, 99);
+    cc.r2_condition.Eq("Type", Value("t0"));
+    cc.target = 1;
+    ccs.push_back(std::move(cc));
+  }
+  for (size_t b = 0; b < age_bands; ++b) {
+    CardinalityConstraint cc;
+    cc.name = StrFormat("band_%zu", b);
+    int64_t lo = static_cast<int64_t>(b * 100 / age_bands);
+    cc.r1_condition.Between("Age", lo, lo + 9);
+    cc.r2_condition.Eq("Area", Value(StrFormat("a%zu", (b * 5) % 32)));
+    cc.target = 1;
+    ccs.push_back(std::move(cc));
+  }
+  return SignatureFixture{std::move(r1), std::move(r2),
+                          std::move(names).value(), std::move(ccs)};
+}
+
+void BM_RepairSelection(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  SignatureFixture f = MakeSignatureFixture(n, /*age_bands=*/24);
+  auto v_join = MakeJoinView(f.r1, f.r2, f.names);
+  CEXTEND_CHECK(v_join.ok());
+  auto combos = ComboIndex::Build(f.r2, f.names);
+  CEXTEND_CHECK(combos.ok());
+  std::vector<uint32_t> invalid(n);
+  for (size_t i = 0; i < n; ++i) invalid[i] = static_cast<uint32_t>(i);
+  size_t signatures = 0;
+  for (auto _ : state) {
+    // Manual time: the selection pass alone, not the plan's combo layout.
+    PlanBuildTimings timings;
+    auto plan = BuildSynthesisPlan(*v_join, f.r2, f.names, f.ccs, invalid,
+                                   SynthesisPlanOptions{}, &*combos, &timings);
+    CEXTEND_CHECK(plan.ok());
+    state.SetIterationTime(timings.selection_seconds);
+    signatures = timings.repair_signatures;
+  }
+  state.counters["signatures"] = static_cast<double>(signatures);
+}
+BENCHMARK(BM_RepairSelection)->Arg(4096)->Arg(16384)->UseManualTime();
+
+void BM_FinalFillSharedMasks(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  SignatureFixture f = MakeSignatureFixture(n, /*age_bands=*/0);
+  auto combos = ComboIndex::Build(f.r2, f.names);
+  CEXTEND_CHECK(combos.ok());
+  FinalFillStats last;
+  for (auto _ : state) {
+    // Fresh pools per iteration; manual time covers the fill alone.
+    auto v_join = MakeJoinView(f.r1, f.r2, f.names);
+    CEXTEND_CHECK(v_join.ok());
+    auto binning = Binning::Create(*v_join, f.names.r1_attrs, f.ccs);
+    CEXTEND_CHECK(binning.ok());
+    auto fill_state = FillState::Create(&*v_join, f.names, &*binning);
+    CEXTEND_CHECK(fill_state.ok());
+    Rng rng(1);
+    FinalFillStats stats;
+    Stopwatch watch;
+    auto invalid = CompleteLeftoverRows(*fill_state, *combos, f.ccs, {},
+                                        LeftoverMode::kAvoidCcs, rng, &stats);
+    state.SetIterationTime(watch.ElapsedSeconds());
+    CEXTEND_CHECK(invalid.ok() && invalid->empty());
+    last = stats;
+  }
+  state.counters["bins"] = static_cast<double>(last.leftover_bins);
+  state.counters["free_lists"] = static_cast<double>(last.free_lists);
+}
+BENCHMARK(BM_FinalFillSharedMasks)->Arg(8192)->UseManualTime();
 
 // ---- Output verification: the DC check on one skewed FK group. ----
 //

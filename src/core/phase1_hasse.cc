@@ -271,35 +271,49 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     if (all_columns_ok) synthesized = combo;
   }
 
-  // Per bin: the list of zero-badness existing combos (cached), expanded by
+  // Free-combo lists: the zero-badness existing combos of a bin, expanded by
   // key count so round-robin respects R2's per-combo capacity. Only the CCs
-  // whose R1 condition covers the bin can veto a combo, and most bins are
-  // covered by a handful of CCs, so the relevant-CC list is collected first.
-  std::unordered_map<size_t, std::vector<size_t>> bin_free_combos;
+  // whose R1 condition covers the bin can veto a combo, so a bin's list is a
+  // function of its covering-CC set alone: bins sharing that set share one
+  // list (few distinct sets even when thousands of bins hold leftovers).
+  // Each bin keeps its own cursor, so the picks equal per-bin lists exactly.
+  std::map<std::vector<size_t>, size_t> list_of_cover;  // covering CCs -> list
+  std::vector<std::vector<size_t>> free_lists;
+  std::unordered_map<size_t, size_t> bin_list;  // bin -> free_lists index
+  std::vector<size_t> cover;
   std::vector<uint64_t> bad_mask(combo_words);
-  auto free_combos_for_bin = [&](size_t bin) -> const std::vector<size_t>& {
-    auto it = bin_free_combos.find(bin);
-    if (it != bin_free_combos.end()) return it->second;
-    // OR the combo masks of every CC covering the bin, then collect the
-    // zero bits: word-wise instead of a per-(cc, combo) byte matrix walk.
-    std::fill(bad_mask.begin(), bad_mask.end(), 0);
+  // Returns an index, not a reference: free_lists grows on a miss.
+  auto free_list_of_bin = [&](size_t bin) -> size_t {
+    auto it = bin_list.find(bin);
+    if (it != bin_list.end()) return it->second;
+    cover.clear();
     for (size_t c = 0; c < num_ccs; ++c) {
-      if (!bin_matches_cc(c, bin)) continue;
-      const uint64_t* mask = combo_match.data() + c * combo_words;
-      for (size_t w = 0; w < combo_words; ++w) bad_mask[w] |= mask[w];
+      if (bin_matches_cc(c, bin)) cover.push_back(c);
     }
-    std::vector<size_t> free;
-    for (size_t w = 0; w < combo_words; ++w) {
-      uint64_t good = ~bad_mask[w];
-      while (good != 0) {
-        size_t i = (w << 6) + static_cast<size_t>(__builtin_ctzll(good));
-        good &= good - 1;
-        if (i >= combos.num_combos()) break;
-        free.push_back(i);
+    auto [list_it, inserted] = list_of_cover.try_emplace(cover, 0);
+    if (inserted) {
+      // OR the combo masks of the covering CCs, then collect the zero bits:
+      // word-wise instead of a per-(cc, combo) byte matrix walk.
+      std::fill(bad_mask.begin(), bad_mask.end(), 0);
+      for (size_t c : cover) {
+        const uint64_t* mask = combo_match.data() + c * combo_words;
+        for (size_t w = 0; w < combo_words; ++w) bad_mask[w] |= mask[w];
       }
+      std::vector<size_t> free;
+      for (size_t w = 0; w < combo_words; ++w) {
+        uint64_t good = ~bad_mask[w];
+        while (good != 0) {
+          size_t i = (w << 6) + static_cast<size_t>(__builtin_ctzll(good));
+          good &= good - 1;
+          if (i >= combos.num_combos()) break;
+          free.push_back(i);
+        }
+      }
+      list_it->second = free_lists.size();
+      free_lists.push_back(combos.ExpandByKeyCount(free));
     }
-    free = combos.ExpandByKeyCount(free);
-    return bin_free_combos.emplace(bin, std::move(free)).first->second;
+    bin_list.emplace(bin, list_it->second);
+    return list_it->second;
   };
 
   // Stagger each bin's rotation start so different bins do not pile their
@@ -396,7 +410,7 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
     if (complete) continue;
 
     size_t bin = binning.bin_of_row(row);
-    const std::vector<size_t>& free = free_combos_for_bin(bin);
+    const std::vector<size_t>& free = free_lists[free_list_of_bin(bin)];
     if (!free.empty()) {
       size_t pick = pick_from(free, cursor_for_bin(bin), row_classes(row));
       state.AssignFullCombo(row, combos.combo_codes(pick));
@@ -409,6 +423,8 @@ StatusOr<std::vector<uint32_t>> CompleteLeftoverRows(
       ++stats->invalid_rows;
     }
   }
+  stats->leftover_bins += bin_list.size();
+  stats->free_lists += free_lists.size();
   return invalid;
 }
 

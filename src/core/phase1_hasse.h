@@ -47,6 +47,10 @@ Status RunPhase1HasseStandalone(FillState& state, const ComboIndex& combos,
 struct FinalFillStats {
   size_t completed_rows = 0;
   size_t invalid_rows = 0;
+  /// kAvoidCcs only: bins holding rows to complete, and the distinct
+  /// covering-CC sets among them (one shared free-combo list each).
+  size_t leftover_bins = 0;
+  size_t free_lists = 0;
 };
 
 enum class LeftoverMode {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <unordered_map>
 
+#include "core/phase1_ilp_internal.h"
 #include "ilp/solver.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -13,6 +13,7 @@
 #include "util/union_find.h"
 
 namespace cextend {
+namespace phase1_ilp_internal {
 namespace {
 
 /// One structural variable of a phase-I (sub-)model.
@@ -21,13 +22,6 @@ struct VarInfo {
   /// Combo id, or kUnused for the bin's aggregated leftover variable.
   static constexpr size_t kUnused = static_cast<size_t>(-1);
   size_t combo = kUnused;
-};
-
-/// One connected component of the (bins, CCs) incidence structure. CC and
-/// bin ids are global; both lists are ascending.
-struct Component {
-  std::vector<size_t> ccs;
-  std::vector<size_t> bins;
 };
 
 struct BuiltModel {
@@ -192,74 +186,70 @@ bool Solved(ilp::IlpStatus s) {
   return s == ilp::IlpStatus::kOptimal || s == ilp::IlpStatus::kFeasible;
 }
 
+/// Two CCs share model structure only through a bin (a common variable
+/// requires a common bin, and bin rows couple every CC touching the bin), so
+/// union CCs via first-seen bin owners. CCs whose R2 condition matches no
+/// combo create no variables and stay singletons.
+std::vector<Component> ConnectedComponents(const FillState& state,
+                                           const Incidence& incidence) {
+  const size_t num_ccs = incidence.cc_bins.size();
+  UnionFind uf(num_ccs);
+  std::unordered_map<size_t, size_t> bin_owner;  // bin -> first CC
+  for (size_t c = 0; c < num_ccs; ++c) {
+    if (incidence.cc_combos[c].empty()) continue;
+    for (size_t bin : incidence.cc_bins[c]) {
+      if (state.pool(bin).empty()) continue;
+      auto [it, inserted] = bin_owner.emplace(bin, c);
+      if (!inserted) uf.Union(c, it->second);
+    }
+  }
+  std::vector<Component> components;
+  std::unordered_map<size_t, size_t> root_slot;
+  for (size_t c = 0; c < num_ccs; ++c) {
+    size_t root = uf.Find(c);
+    auto [it, inserted] = root_slot.emplace(root, components.size());
+    if (inserted) components.push_back({});
+    components[it->second].ccs.push_back(c);
+  }
+  for (const auto& [bin, owner] : bin_owner) {
+    components[root_slot.at(uf.Find(owner))].bins.push_back(bin);
+  }
+  for (Component& comp : components) {
+    std::sort(comp.bins.begin(), comp.bins.end());
+  }
+  return components;
+}
+
 }  // namespace
 
-Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
-                    const std::vector<CardinalityConstraint>& ccs,
-                    const Phase1IlpOptions& options, Phase1IlpStats* stats) {
-  if (ccs.empty()) return Status::Ok();
-  const Binning& binning = state.binning();
-  size_t num_bins = binning.num_bins();
+StatusOr<Incidence> MatchIncidence(
+    const FillState& state, const ComboIndex& combos,
+    const std::vector<CardinalityConstraint>& ccs) {
+  Incidence incidence;
+  incidence.cc_bins.resize(ccs.size());
+  incidence.cc_combos.resize(ccs.size());
+  for (size_t c = 0; c < ccs.size(); ++c) {
+    CEXTEND_ASSIGN_OR_RETURN(
+        incidence.cc_bins[c],
+        state.binning().MatchingBins(ccs[c].r1_condition));
+    CEXTEND_ASSIGN_OR_RETURN(incidence.cc_combos[c],
+                             combos.MatchingCombos(ccs[c].r2_condition));
+  }
+  return incidence;
+}
 
-  std::vector<Component> components;
+Status SolveComponents(FillState& state, const ComboIndex& combos,
+                       const std::vector<CardinalityConstraint>& ccs,
+                       const Incidence& incidence,
+                       const std::vector<Component>& components,
+                       const Phase1IlpOptions& options, Phase1IlpStats* stats) {
   std::vector<BuiltModel> models;
   {
     ScopedTimer timer(&stats->model_build_seconds);
-
-    // Per CC: matching bins and combos.
-    std::vector<std::vector<size_t>> cc_bins(ccs.size());
-    std::vector<std::vector<size_t>> cc_combos(ccs.size());
-    for (size_t c = 0; c < ccs.size(); ++c) {
-      CEXTEND_ASSIGN_OR_RETURN(cc_bins[c],
-                               binning.MatchingBins(ccs[c].r1_condition));
-      CEXTEND_ASSIGN_OR_RETURN(cc_combos[c],
-                               combos.MatchingCombos(ccs[c].r2_condition));
-    }
-
-    if (options.decompose) {
-      // Two CCs share model structure only through a bin (a common variable
-      // requires a common bin, and bin rows couple every CC touching the
-      // bin), so union CCs via first-seen bin owners. CCs whose R2 condition
-      // matches no combo create no variables and stay singletons.
-      UnionFind uf(ccs.size());
-      std::unordered_map<size_t, size_t> bin_owner;  // bin -> first CC
-      for (size_t c = 0; c < ccs.size(); ++c) {
-        if (cc_combos[c].empty()) continue;
-        for (size_t bin : cc_bins[c]) {
-          if (state.pool(bin).empty()) continue;
-          auto [it, inserted] = bin_owner.emplace(bin, c);
-          if (!inserted) uf.Union(c, it->second);
-        }
-      }
-      std::unordered_map<size_t, size_t> root_slot;
-      for (size_t c = 0; c < ccs.size(); ++c) {
-        size_t root = uf.Find(c);
-        auto [it, inserted] = root_slot.emplace(root, components.size());
-        if (inserted) components.push_back({});
-        components[it->second].ccs.push_back(c);
-      }
-      for (const auto& [bin, owner] : bin_owner) {
-        components[root_slot.at(uf.Find(owner))].bins.push_back(bin);
-      }
-      for (Component& comp : components) {
-        std::sort(comp.bins.begin(), comp.bins.end());
-      }
-    } else {
-      // Monolithic reference model: every CC plus every bin with remaining
-      // rows (covered or not), exactly the pre-decomposition encoding.
-      Component all;
-      all.ccs.resize(ccs.size());
-      std::iota(all.ccs.begin(), all.ccs.end(), size_t{0});
-      for (size_t bin = 0; bin < num_bins; ++bin) {
-        if (!state.pool(bin).empty()) all.bins.push_back(bin);
-      }
-      components.push_back(std::move(all));
-    }
-
     models.reserve(components.size());
     for (const Component& comp : components) {
-      models.push_back(BuildComponentModel(state, comp, ccs, cc_bins,
-                                           cc_combos,
+      models.push_back(BuildComponentModel(state, comp, ccs, incidence.cc_bins,
+                                           incidence.cc_combos,
                                            options.include_marginals));
       stats->num_variables += models.back().model.num_variables();
       stats->num_rows += models.back().model.num_constraints();
@@ -362,6 +352,24 @@ Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
     }
   }
   return Status::Ok();
+}
+
+}  // namespace phase1_ilp_internal
+
+Status RunPhase1Ilp(FillState& state, const ComboIndex& combos,
+                    const std::vector<CardinalityConstraint>& ccs,
+                    const Phase1IlpOptions& options, Phase1IlpStats* stats) {
+  if (ccs.empty()) return Status::Ok();
+  phase1_ilp_internal::Incidence incidence;
+  std::vector<phase1_ilp_internal::Component> components;
+  {
+    ScopedTimer timer(&stats->model_build_seconds);
+    CEXTEND_ASSIGN_OR_RETURN(
+        incidence, phase1_ilp_internal::MatchIncidence(state, combos, ccs));
+    components = phase1_ilp_internal::ConnectedComponents(state, incidence);
+  }
+  return phase1_ilp_internal::SolveComponents(state, combos, ccs, incidence,
+                                              components, options, stats);
 }
 
 }  // namespace cextend

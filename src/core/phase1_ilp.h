@@ -41,9 +41,6 @@ struct Phase1IlpOptions {
   /// Include the per-bin marginal rows (Algorithm 1 lines 8-10). The plain
   /// baseline of Section 6.1 turns this off.
   bool include_marginals = true;
-  /// Split the model into connected (bins, CCs) components and solve each
-  /// sub-ILP independently. Off = one monolithic model (ablation/reference).
-  bool decompose = true;
   /// Worker threads for independent component solves (1 = serial). The
   /// result is bit-identical regardless of this value.
   size_t num_threads = 1;

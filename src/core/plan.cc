@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <unordered_set>
 
 #include "core/fill_state.h"
@@ -187,37 +188,48 @@ StatusOr<SynthesisPlan> BuildSynthesisPlan(
         r2_combos = &built;
       }
       const ComboIndex& combos = *r2_combos;
+      if (combos.num_combos() == 0) {
+        return Status::FailedPrecondition("R2 has no rows to draw combos from");
+      }
       std::vector<BoundPredicate> cc_r1;
-      std::vector<std::vector<char>> cc_combo(ccs.size());
+      std::vector<std::vector<size_t>> cc_combos(ccs.size());
       for (size_t c = 0; c < ccs.size(); ++c) {
         CEXTEND_ASSIGN_OR_RETURN(
             BoundPredicate p1,
             BoundPredicate::Bind(ccs[c].r1_condition, v_join));
         cc_r1.push_back(std::move(p1));
-        cc_combo[c].assign(combos.num_combos(), 0);
-        CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> match,
+        CEXTEND_ASSIGN_OR_RETURN(cc_combos[c],
                                  combos.MatchingCombos(ccs[c].r2_condition));
-        for (size_t i : match) cc_combo[c][i] = 1;
       }
+      // A combo's badness for a row is the number of CCs the row matches on
+      // R1 whose R2 condition the combo meets, so the choice is a function of
+      // the row's matched-CC signature: computed once per distinct signature
+      // by counting over the matched CCs' combo lists. Ties go to the
+      // smallest combo id.
+      std::map<std::vector<size_t>, size_t> chosen;  // signature -> combo
+      std::vector<size_t> signature;
+      std::vector<int64_t> badness(combos.num_combos());
       for (uint32_t row : invalid_rows) {
-        size_t best_combo = 0;
-        int64_t best_badness = INT64_MAX;
-        for (size_t i = 0; i < combos.num_combos(); ++i) {
-          int64_t badness = 0;
-          for (size_t c = 0; c < ccs.size(); ++c) {
-            if (cc_combo[c][i] && cc_r1[c].Matches(v_join, row)) ++badness;
-          }
-          if (badness < best_badness) {
-            best_badness = badness;
-            best_combo = i;
-            if (badness == 0) break;
-          }
+        signature.clear();
+        for (size_t c = 0; c < ccs.size(); ++c) {
+          if (cc_r1[c].Matches(v_join, row)) signature.push_back(c);
         }
-        const std::vector<int64_t>& combo = combos.combo_codes(best_combo);
+        auto [it, inserted] = chosen.try_emplace(signature, 0);
+        if (inserted) {
+          std::fill(badness.begin(), badness.end(), 0);
+          for (size_t c : signature) {
+            for (size_t i : cc_combos[c]) ++badness[i];
+          }
+          it->second = static_cast<size_t>(
+              std::min_element(badness.begin(), badness.end()) -
+              badness.begin());
+        }
+        const std::vector<int64_t>& combo = combos.combo_codes(it->second);
         for (size_t i = 0; i < b_cols.size(); ++i) {
           v_join.SetCode(row, b_cols[i], combo[i]);
         }
       }
+      timings->repair_signatures = chosen.size();
     }
   }
 

@@ -77,10 +77,14 @@ struct SynthesisPlan {
   static StatusOr<SynthesisPlan> Deserialize(const std::string& bytes);
 };
 
-/// Extra planning timings, attributed into Phase2Stats by the callers.
+/// Planning timings (attributed into Phase2Stats by the callers) and the
+/// repair-selection signature count.
 struct PlanBuildTimings {
   double selection_seconds = 0.0;  ///< repair pass 1 (combo selection)
   double layout_seconds = 0.0;     ///< combo table + worklist + shard map
+  /// Distinct matched-CC signatures among the invalid rows: repair pass 1
+  /// scores combos once per signature, not once per row.
+  size_t repair_signatures = 0;
 };
 
 /// Freezes the phase-2 plan for a phase-1-completed join view. Runs

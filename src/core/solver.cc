@@ -80,6 +80,7 @@ StatusOr<PlannedCExtension> PlanCExtension(
                          plan_options, &phase1.combos, &timings));
   stats.phase2.partition_seconds += timings.layout_seconds;
   stats.phase2.invalid_seconds += timings.selection_seconds;
+  stats.repair_signatures = timings.repair_signatures;
   stats.total_seconds = total_watch.ElapsedSeconds();
 
   return PlannedCExtension{std::move(plan), std::move(v_join), stats,

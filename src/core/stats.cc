@@ -26,12 +26,14 @@ std::string SolveStats::BreakdownTable() const {
 
 std::string SolveStats::Summary() const {
   std::string out = StrFormat(
-      "total=%s phase1=%s phase2=%s ccs(hasse=%zu ilp=%zu) invalid=%zu "
+      "total=%s phase1=%s phase2=%s ccs(hasse=%zu ilp=%zu) "
+      "fill(%zu bins -> %zu free lists) invalid=%zu (%zu signatures) "
       "new_r2=%zu skipped=%zu repair(oracles=%zu scan=%zu)",
       FormatDuration(total_seconds).c_str(),
       FormatDuration(phase1_seconds).c_str(),
       FormatDuration(phase2_seconds).c_str(), phase1.ccs_to_hasse,
-      phase1.ccs_to_ilp, invalid_tuples, phase2.new_r2_tuples,
+      phase1.ccs_to_ilp, phase1.fill.leftover_bins, phase1.fill.free_lists,
+      invalid_tuples, repair_signatures, phase2.new_r2_tuples,
       phase2.skipped_vertices, phase2.repair_oracles,
       phase2.scan_probe_repairs);
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",

@@ -27,6 +27,9 @@ struct SolveStats {
   double phase2_seconds = 0.0;
   double total_seconds = 0.0;
   size_t invalid_tuples = 0;
+  /// Distinct matched-CC signatures among the invalid tuples (repair
+  /// selection runs once per signature; PlanBuildTimings::repair_signatures).
+  size_t repair_signatures = 0;
 
   /// Figure 13-style breakdown table.
   std::string BreakdownTable() const;

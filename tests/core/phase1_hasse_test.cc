@@ -1,5 +1,7 @@
 #include "core/phase1_hasse.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "constraints/metrics.h"
@@ -188,6 +190,141 @@ TEST(FinalFillTest, RandomModeFillsEverything) {
   ASSERT_TRUE(invalid.ok());
   EXPECT_TRUE(invalid->empty());
   EXPECT_EQ(fill.completed_rows, ex.persons.NumRows());
+}
+
+// Final fill over bins that share covering-CC sets. R1's Age is cut at 60
+// by ccB, and Rel is a raw categorical, so the bins are young/old x
+// {Owner, Spouse, Child, Other}; ccA covers the owner bins and ccB the old
+// bins. Covering sets: {} for three young non-owner bins, {ccB} for three
+// old non-owner bins, {ccA} and {ccA, ccB} for the owners: eight bins, four
+// free lists. R2 holds three keys per (Area, Type) combo, so every list is
+// expanded by key count; an owner-owner DC exercises the clique ledgers.
+struct SharedCoverInstance {
+  Table r1;
+  Table r2;
+  PairSchema names;
+  std::vector<CardinalityConstraint> ccs;
+  std::vector<DenialConstraint> dcs;
+};
+
+SharedCoverInstance MakeSharedCoverInstance() {
+  Rng rng(17);
+  Schema r1_schema{{"pid", DataType::kInt64},
+                   {"Age", DataType::kInt64},
+                   {"Rel", DataType::kString},
+                   {"hid", DataType::kInt64}};
+  Table r1{r1_schema};
+  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
+  for (int i = 0; i < 96; ++i) {
+    // Cycle the relations so every (age band, Rel) bin is realized.
+    int64_t age = i % 8 < 4 ? rng.UniformInt(0, 59) : rng.UniformInt(60, 99);
+    CEXTEND_CHECK(r1.AppendRow({Value(i + 1), Value(age), Value(rels[i % 4]),
+                                Value::Null()})
+                      .ok());
+  }
+  Schema r2_schema{{"hid", DataType::kInt64},
+                   {"Area", DataType::kString},
+                   {"Type", DataType::kString}};
+  Table r2{r2_schema};
+  const char* areas[] = {"A", "B", "C", "D"};
+  const char* types[] = {"X", "Y"};
+  for (int h = 0; h < 24; ++h) {
+    CEXTEND_CHECK(r2.AppendRow({Value(h + 1), Value(areas[h % 4]),
+                                Value(types[h / 4 % 2])})
+                      .ok());
+  }
+  auto names = PairSchema::Infer(r1, r2, "pid", "hid", "hid");
+  CEXTEND_CHECK(names.ok());
+  CardinalityConstraint cc_a;
+  cc_a.name = "ccA";
+  cc_a.r1_condition.Eq("Rel", Value("Owner"));
+  cc_a.r2_condition.Eq("Area", Value("A"));
+  cc_a.target = 4;
+  CardinalityConstraint cc_b;
+  cc_b.name = "ccB";
+  cc_b.r1_condition.Between("Age", 60, 99);
+  cc_b.r2_condition.Eq("Area", Value("B"));
+  cc_b.target = 4;
+  DenialConstraint owners(2, "owner-owner");
+  owners.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  owners.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
+  return SharedCoverInstance{std::move(r1), std::move(r2),
+                             std::move(names).value(),
+                             {cc_a, cc_b},
+                             {std::move(owners)}};
+}
+
+TEST(FinalFillTest, BinsSharingACoverShareOneFreeList) {
+  SharedCoverInstance inst = MakeSharedCoverInstance();
+  auto v_join = MakeJoinView(inst.r1, inst.r2, inst.names);
+  ASSERT_TRUE(v_join.ok());
+  auto binning = Binning::Create(*v_join, inst.names.r1_attrs, inst.ccs);
+  ASSERT_TRUE(binning.ok());
+  ASSERT_EQ(binning->num_bins(), 8u);
+  auto combos = ComboIndex::Build(inst.r2, inst.names);
+  ASSERT_TRUE(combos.ok());
+  auto state = FillState::Create(&*v_join, inst.names, &*binning);
+  ASSERT_TRUE(state.ok());
+
+  Rng rng(1);
+  FinalFillStats fill;
+  auto invalid = CompleteLeftoverRows(*state, *combos, inst.ccs, inst.dcs,
+                                      LeftoverMode::kAvoidCcs, rng, &fill);
+  ASSERT_TRUE(invalid.ok()) << invalid.status();
+  EXPECT_TRUE(invalid->empty());
+  EXPECT_EQ(fill.completed_rows, inst.r1.NumRows());
+  EXPECT_EQ(fill.leftover_bins, 8u);
+  EXPECT_EQ(fill.free_lists, 4u);
+
+  // Every completed row's combo newly satisfies none of its covering CCs.
+  std::vector<size_t> row_combo(v_join->NumRows());
+  std::vector<int64_t> codes(state->b_cols().size());
+  for (size_t r = 0; r < v_join->NumRows(); ++r) {
+    for (size_t i = 0; i < codes.size(); ++i) {
+      codes[i] = v_join->GetCode(r, state->b_cols()[i]);
+    }
+    auto id = combos->Find(codes);
+    ASSERT_TRUE(id.has_value()) << "row " << r;
+    row_combo[r] = *id;
+  }
+  for (const CardinalityConstraint& cc : inst.ccs) {
+    auto r1_pred = BoundPredicate::Bind(cc.r1_condition, *v_join);
+    ASSERT_TRUE(r1_pred.ok());
+    auto r2_combos = combos->MatchingCombos(cc.r2_condition);
+    ASSERT_TRUE(r2_combos.ok());
+    for (size_t r = 0; r < v_join->NumRows(); ++r) {
+      if (!r1_pred->Matches(*v_join, r)) continue;
+      EXPECT_EQ(std::count(r2_combos->begin(), r2_combos->end(), row_combo[r]),
+                0)
+          << cc.name << " newly satisfied by row " << r;
+    }
+  }
+
+  // The three young non-owner bins share the uncovered list, yet each
+  // starts its rotation at its own cursor: their first rows differ.
+  std::vector<size_t> first_combo;
+  for (size_t bin = 0; bin < binning->num_bins(); ++bin) {
+    uint32_t first = binning->rows(bin).front();
+    bool covered = false;
+    for (const CardinalityConstraint& cc : inst.ccs) {
+      auto pred = BoundPredicate::Bind(cc.r1_condition, *v_join);
+      ASSERT_TRUE(pred.ok());
+      covered = covered || pred->Matches(*v_join, first);
+    }
+    if (!covered) first_combo.push_back(row_combo[first]);
+  }
+  ASSERT_EQ(first_combo.size(), 3u);
+  EXPECT_NE(first_combo[0], first_combo[1]);
+  EXPECT_NE(first_combo[1], first_combo[2]);
+  EXPECT_NE(first_combo[0], first_combo[2]);
+
+  // Golden assignment (combo id per row) from the per-bin-list fill.
+  const std::vector<size_t> golden = {
+      1, 7, 6, 5, 2, 2, 0, 7, 2, 7, 6, 5, 3, 2, 0, 7, 3, 7, 6, 5, 6, 2, 0, 7, 5,
+      7, 6, 5, 7, 2, 0, 7, 6, 7, 6, 5, 2, 2, 0, 7, 7, 7, 6, 5, 3, 2, 0, 7, 1, 7,
+      6, 5, 6, 2, 0, 7, 2, 7, 6, 5, 7, 2, 0, 7, 3, 7, 6, 5, 2, 2, 0, 7, 5, 7, 6,
+      5, 3, 2, 0, 7, 6, 7, 6, 5, 6, 2, 0, 7, 7, 7, 6, 5, 7, 2, 0, 7};
+  EXPECT_EQ(row_combo, golden);
 }
 
 // Property (Proposition 4.7): for generated non-intersecting CC sets whose

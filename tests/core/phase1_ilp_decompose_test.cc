@@ -10,6 +10,7 @@
 
 #include "constraints/metrics.h"
 #include "core/phase1_ilp.h"
+#include "core/phase1_ilp_internal.h"
 #include "datagen/census.h"
 #include "datagen/constraint_gen.h"
 #include "test_util.h"
@@ -81,19 +82,27 @@ TEST_P(DecomposeSeedTest, DecomposedMatchesMonolithicSlack) {
   datagen::CensusData data = MakeData(GetParam());
   std::vector<CardinalityConstraint> ccs = MakeCcs(data, 30, GetParam() * 3 + 1);
 
+  // Monolithic reference: one component holding every CC and every bin with
+  // rows left (covered or not), the pre-decomposition encoding.
   Phase1Instance mono = MakeInstance(data, ccs);
-  Phase1IlpOptions mono_options;
-  mono_options.decompose = false;
+  auto incidence =
+      phase1_ilp_internal::MatchIncidence(*mono.state, *mono.combos, ccs);
+  ASSERT_TRUE(incidence.ok());
+  phase1_ilp_internal::Component all;
+  for (size_t c = 0; c < ccs.size(); ++c) all.ccs.push_back(c);
+  for (size_t bin = 0; bin < mono.binning->num_bins(); ++bin) {
+    if (!mono.state->pool(bin).empty()) all.bins.push_back(bin);
+  }
   Phase1IlpStats mono_stats;
-  ASSERT_TRUE(RunPhase1Ilp(*mono.state, *mono.combos, ccs, mono_options,
-                           &mono_stats).ok());
+  ASSERT_TRUE(phase1_ilp_internal::SolveComponents(
+                  *mono.state, *mono.combos, ccs, *incidence, {all},
+                  Phase1IlpOptions{}, &mono_stats)
+                  .ok());
 
   Phase1Instance decomposed = MakeInstance(data, ccs);
-  Phase1IlpOptions dec_options;
-  dec_options.decompose = true;
   Phase1IlpStats dec_stats;
   ASSERT_TRUE(RunPhase1Ilp(*decomposed.state, *decomposed.combos, ccs,
-                           dec_options, &dec_stats).ok());
+                           Phase1IlpOptions{}, &dec_stats).ok());
 
   EXPECT_EQ(mono_stats.num_components, 1u);
   EXPECT_GE(dec_stats.num_components, 2u)
@@ -120,7 +129,6 @@ TEST_P(DecomposeSeedTest, BitIdenticalAcrossThreadCounts) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     Phase1Instance inst = MakeInstance(data, ccs);
     Phase1IlpOptions options;
-    options.decompose = true;
     options.num_threads = threads;
     Phase1IlpStats stats;
     ASSERT_TRUE(RunPhase1Ilp(*inst.state, *inst.combos, ccs, options,

@@ -47,7 +47,9 @@ TEST(SolverTest, StatsArePopulated) {
   EXPECT_GE(stats.phase2_seconds, 0.0);
   EXPECT_EQ(stats.phase1.ccs_to_hasse + stats.phase1.ccs_to_ilp,
             ex.ccs.size());
-  EXPECT_FALSE(stats.Summary().empty());
+  EXPECT_LE(stats.phase1.fill.free_lists, stats.phase1.fill.leftover_bins);
+  EXPECT_NE(stats.Summary().find(" bins -> "), std::string::npos);
+  EXPECT_NE(stats.Summary().find(" signatures)"), std::string::npos);
   EXPECT_FALSE(stats.BreakdownTable().empty());
 }
 

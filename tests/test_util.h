@@ -5,6 +5,7 @@
 #define CEXTEND_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -173,6 +174,50 @@ inline StatusOr<Phase2Tables> ExecutePhase2(
                            ExecutePlan(prepared, options, &sink));
   return Phase2Tables{std::move(sink.r1_hat()), std::move(sink.r2_hat()),
                       stats};
+}
+
+/// Reference for BuildSynthesisPlan's repair selection (solveInvalidTuples
+/// pass 1) as a full combos × CCs scan: a combo's badness for a row counts
+/// the CCs whose R1 condition the row meets and whose R2 condition the combo
+/// meets; the first strictly better combo wins, stopping at zero, so the
+/// smallest id of minimum badness is chosen. Returns one combo id per row.
+inline StatusOr<std::vector<size_t>> ReferenceRepairSelection(
+    const Table& v_join, const ComboIndex& combos,
+    const std::vector<CardinalityConstraint>& ccs,
+    const std::vector<uint32_t>& rows) {
+  if (combos.num_combos() == 0) {
+    return Status::FailedPrecondition("R2 has no rows to draw combos from");
+  }
+  std::vector<BoundPredicate> cc_r1;
+  std::vector<std::vector<char>> cc_combo(ccs.size());
+  for (size_t c = 0; c < ccs.size(); ++c) {
+    CEXTEND_ASSIGN_OR_RETURN(BoundPredicate p1,
+                             BoundPredicate::Bind(ccs[c].r1_condition, v_join));
+    cc_r1.push_back(std::move(p1));
+    cc_combo[c].assign(combos.num_combos(), 0);
+    CEXTEND_ASSIGN_OR_RETURN(std::vector<size_t> match,
+                             combos.MatchingCombos(ccs[c].r2_condition));
+    for (size_t i : match) cc_combo[c][i] = 1;
+  }
+  std::vector<size_t> chosen;
+  chosen.reserve(rows.size());
+  for (uint32_t row : rows) {
+    size_t best_combo = 0;
+    int64_t best_badness = INT64_MAX;
+    for (size_t i = 0; i < combos.num_combos(); ++i) {
+      int64_t badness = 0;
+      for (size_t c = 0; c < ccs.size(); ++c) {
+        if (cc_combo[c][i] && cc_r1[c].Matches(v_join, row)) ++badness;
+      }
+      if (badness < best_badness) {
+        best_badness = badness;
+        best_combo = i;
+        if (badness == 0) break;
+      }
+    }
+    chosen.push_back(best_combo);
+  }
+  return chosen;
 }
 
 /// Enumerates all k-subsets of `group`, invoking `fn(subset)`; stops early
