@@ -173,130 +173,6 @@ void BM_ConflictBuildImplicitClique(benchmark::State& state) {
 BENCHMARK(BM_ConflictBuildImplicitClique)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Complexity();
 
-// ---- Invalid-tuple repair kernel (solveInvalidTuples hot path). ----
-//
-// One candidate-key probe for an invalid row against a same-key bucket of
-// size B. The oracle path is one WouldViolate call — O(B) pair tests plus a
-// hyperedge membership check — while the scan path replays the pre-oracle
-// code: per-bucket-member BodyHoldsUnordered permutations for binary DCs
-// plus a Θ(B²) bucket-pair loop for the arity-3 DC.
-
-struct RepairFixture {
-  Table table;
-  std::vector<BoundDenialConstraint> dcs;
-  std::vector<uint32_t> rows;
-  std::vector<size_t> others;  // local ids eligible for the probe bucket
-};
-
-RepairFixture MakeRepairFixture(size_t n) {
-  Rng rng(31);
-  Schema schema{{"Rel", DataType::kString},
-                {"Age", DataType::kInt64},
-                {"ML", DataType::kInt64},
-                {"G", DataType::kInt64}};
-  Table t{schema};
-  for (size_t i = 0; i < n; ++i) {
-    bool owner = i < n / 4;
-    CEXTEND_CHECK(t.AppendRow({Value(owner ? "Owner" : "Other"),
-                               Value(rng.UniformInt(0, 90)),
-                               Value(!owner && i % 32 == 0 ? int64_t{1}
-                                                          : int64_t{0}),
-                               Value(static_cast<int64_t>(i))})
-                      .ok());
-  }
-  std::vector<DenialConstraint> dcs;
-  {
-    // Clique over the owners (implicit biclique).
-    DenialConstraint dc(2, "owner-owner");
-    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
-    dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
-    dcs.push_back(std::move(dc));
-  }
-  {
-    // Ordering DC between owners and the bucket population (indexed runs).
-    DenialConstraint dc(2, "age-gap");
-    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
-    dc.Unary(1, "Rel", CompareOp::kEq, Value("Other"));
-    dc.Binary(1, "Age", CompareOp::kLt, 0, "Age", -50);
-    dcs.push_back(std::move(dc));
-  }
-  {
-    // Arity 3 with tight sides (hypergraph layer; the G chain keeps the
-    // edge set sparse).
-    DenialConstraint dc(3, "triple");
-    for (int var = 0; var < 3; ++var) {
-      dc.Unary(var, "Rel", CompareOp::kEq, Value("Other"));
-      dc.Unary(var, "ML", CompareOp::kEq, Value(int64_t{1}));
-    }
-    dc.Binary(0, "G", CompareOp::kEq, 1, "G");
-    dc.Binary(1, "G", CompareOp::kEq, 2, "G");
-    dcs.push_back(std::move(dc));
-  }
-  auto bound = BindAll(dcs, t);
-  CEXTEND_CHECK(bound.ok());
-  RepairFixture f{std::move(t), std::move(bound).value(), {}, {}};
-  for (uint32_t i = 0; i < n; ++i) {
-    f.rows.push_back(i);
-    if (i >= n / 4) f.others.push_back(i);
-  }
-  return f;
-}
-
-void BM_InvalidRepairOracleProbe(benchmark::State& state) {
-  size_t bucket_size = static_cast<size_t>(state.range(0));
-  RepairFixture f = MakeRepairFixture(8192);
-  CEXTEND_CHECK(bucket_size + 1 <= f.others.size());
-  auto oracle = BuildPartitionOracle(f.table, f.dcs, f.rows);
-  CEXTEND_CHECK(oracle.ok());
-  std::vector<size_t> bucket(f.others.begin(),
-                             f.others.begin() + bucket_size);
-  size_t probe = f.others.back();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize((*oracle)->WouldViolate(probe, bucket));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_InvalidRepairOracleProbe)
-    ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->Complexity();
-
-void BM_InvalidRepairScanProbe(benchmark::State& state) {
-  size_t bucket_size = static_cast<size_t>(state.range(0));
-  RepairFixture f = MakeRepairFixture(8192);
-  CEXTEND_CHECK(bucket_size + 1 <= f.others.size());
-  std::vector<size_t> bucket(f.others.begin(),
-                             f.others.begin() + bucket_size);
-  uint32_t probe_row = f.rows[f.others.back()];
-  for (auto _ : state) {
-    bool ok = true;
-    for (size_t member : bucket) {
-      uint32_t other = f.rows[member];
-      for (const BoundDenialConstraint& dc : f.dcs) {
-        if (dc.arity() != 2) continue;
-        if (dc.BodyHoldsUnordered(f.table, {probe_row, other})) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) break;
-    }
-    for (const BoundDenialConstraint& dc : f.dcs) {
-      if (!ok || dc.arity() != 3) continue;
-      for (size_t a = 0; a < bucket.size() && ok; ++a) {
-        for (size_t b = a + 1; b < bucket.size() && ok; ++b) {
-          if (dc.BodyHoldsUnordered(
-                  f.table, {probe_row, f.rows[bucket[a]], f.rows[bucket[b]]})) {
-            ok = false;
-          }
-        }
-      }
-    }
-    benchmark::DoNotOptimize(ok);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_InvalidRepairScanProbe)
-    ->Arg(64)->Arg(256)->Arg(1024)->Complexity();
-
 // ---- Phase-I signature kernels: repair selection and the final fill. ----
 //
 // Both choose combos from one fact, the set of CCs covering a row or bin, so

@@ -166,33 +166,12 @@ BinaryDcPlan PlanBinaryDc(const BoundDenialConstraint& dc) {
   return plan;
 }
 
-/// True when local vertex `i` can play variable `var` of `dc`: unary side
-/// atoms hold, same-tuple binary atoms hold, and no column referenced by a
-/// cross atom is NULL (a NULL operand can never satisfy a cross atom).
-bool SideEligible(const Table& table, const BoundDenialConstraint& dc,
-                  const BinaryDcPlan& plan, uint32_t row, int var) {
-  if (!dc.SideMatches(table, row, var)) return false;
-  const std::vector<CrossAtom>& same = var == 0 ? plan.same0 : plan.same1;
-  for (const CrossAtom& a : same) {
-    if (!BoundDenialConstraint::CrossAtomHolds(
-            a, table.GetCode(row, a.lhs_col), table.GetCode(row, a.rhs_col)))
-      return false;
-  }
-  auto cols_non_null = [&](const std::vector<OrientedAtom>& atoms) {
-    for (const OrientedAtom& a : atoms) {
-      size_t col = var == 0 ? a.u_col : a.v_col;
-      if (table.GetCode(row, col) == kNullCode) return false;
-    }
-    return true;
-  };
-  return cols_non_null(plan.eq) && cols_non_null(plan.ord) &&
-         cols_non_null(plan.other);
-}
-
-/// Batch SideEligible over every local vertex: match[i] = SideEligible(table,
-/// dc, plan, rows[i], var). Column sweeps (one linear pass per atom over the
-/// raw codes) replace the per-row atom loops — this is the O(n)-per-DC
-/// prologue of every oracle build, so it runs at memory speed.
+/// match[i] = 1 iff local vertex i can play variable `var` of `dc`: its
+/// unary side atoms hold, its same-tuple binary atoms hold, and no column
+/// referenced by a cross atom is NULL (a NULL operand can never satisfy a
+/// cross atom). Column sweeps (one linear pass per atom over the raw codes)
+/// replace per-row atom loops — this is the O(n)-per-DC prologue of every
+/// oracle build, so it runs at memory speed.
 void BuildSideMask(const Table& table, const BoundDenialConstraint& dc,
                    const BinaryDcPlan& plan, const std::vector<uint32_t>& rows,
                    int var, std::vector<uint8_t>* match) {
@@ -224,65 +203,6 @@ void BuildSideMask(const Table& table, const BoundDenialConstraint& dc,
   non_null_sweep(plan.eq);
   non_null_sweep(plan.ord);
   non_null_sweep(plan.other);
-}
-
-/// Epoch-stamped membership scratch for WouldViolate probes: stamping the
-/// `same_color` set is O(|set|) array writes (no per-probe tree or hash
-/// build), and the stamp survives across probes on the same thread so repair
-/// loops never allocate after warm-up.
-class ProbeStamp {
- public:
-  /// Begins a new probe over vertices < n; marks every member.
-  void Stamp(size_t n, const std::vector<size_t>& members) {
-    Begin(n);
-    for (size_t u : members) stamp_[u] = epoch_;
-  }
-
-  /// Begins a new probe over vertices < n; marks the [begin, end) run
-  /// (e.g. a CSR neighbor row).
-  void StampRun(size_t n, const uint32_t* begin, const uint32_t* end) {
-    Begin(n);
-    for (const uint32_t* p = begin; p != end; ++p) stamp_[*p] = epoch_;
-  }
-
-  bool Contains(size_t u) const { return stamp_[u] == epoch_; }
-
-  static ProbeStamp& ThreadLocal() {
-    // cextend-lint: static-state-ok(per-thread probe scratch; epoch-stamped
-    // and reset on every probe, never observable in results)
-    thread_local ProbeStamp stamp;
-    return stamp;
-  }
-
- private:
-  void Begin(size_t n) {
-    if (stamp_.size() < n) stamp_.resize(n, 0);
-    if (++epoch_ == 0) {  // wrapped: all stale marks must die
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
-};
-
-/// Shared by both oracles: true when some hyperedge containing `v` has all
-/// of its other vertices in `stamp` (the probed same-color set).
-bool HyperedgeWouldViolate(const Hypergraph* higher, size_t v,
-                           const ProbeStamp& stamp) {
-  for (int e : higher->incident_edges(v)) {
-    bool all_in = true;
-    for (int u : higher->edge(static_cast<size_t>(e))) {
-      if (static_cast<size_t>(u) == v) continue;
-      if (!stamp.Contains(static_cast<size_t>(u))) {
-        all_in = false;
-        break;
-      }
-    }
-    if (all_in) return true;
-  }
-  return false;
 }
 
 uint64_t PackPair(size_t u, size_t v) {
@@ -658,57 +578,6 @@ void PartitionConflictOracle::AppendForbiddenColors(
   if (higher_ != nullptr) higher_->AppendForbiddenColors(v, colors, out);
 }
 
-bool PartitionConflictOracle::WouldViolate(
-    size_t v, const std::vector<size_t>& same_color) const {
-  // Implicit layer: v's entire implicit adjacency is one group-neighborhood
-  // bitset, hoisted once — a member conflicts iff its bit is set, and
-  // vertices in no biclique (the common case for invalid-tuple probes) skip
-  // the layer outright instead of paying a per-member group lookup.
-  const uint32_t g = implicit_.group_of(v);
-  if (g != ImplicitBicliqueFamily::kNoGroup) {
-    const uint64_t* hood = implicit_.GroupNeighborhood(g);
-    for (size_t u : same_color) {
-      if (u != v && ImplicitBicliqueFamily::TestBit(hood, u)) return true;
-    }
-  }
-
-  // CSR layer, O(b + deg): stamp the smaller of (members, neighbor run) and
-  // stream the other, instead of b binary searches (O(b log deg)). Small
-  // probes keep the per-member search — b searches beat a stamp pass. A zero
-  // CSR degree skips the layer entirely. Every path computes the same OR, so
-  // the cutovers are purely perf.
-  const size_t b = same_color.size();
-  const size_t csr_deg = static_cast<size_t>(adjacency_.Degree(v));
-  ProbeStamp& stamp = ProbeStamp::ThreadLocal();
-  bool members_stamped = false;
-  if (csr_deg != 0) {
-    if (b < 64) {
-      for (size_t u : same_color) {
-        if (u != v && adjacency_.HasEdge(v, u)) return true;
-      }
-    } else if (csr_deg <= b) {
-      stamp.StampRun(rows_.size(), adjacency_.NeighborsBegin(v),
-                     adjacency_.NeighborsEnd(v));
-      for (size_t u : same_color) {
-        if (stamp.Contains(u)) return true;  // neighbors never include v
-      }
-    } else {
-      stamp.Stamp(rows_.size(), same_color);
-      members_stamped = true;
-      for (const uint32_t* p = adjacency_.NeighborsBegin(v),
-                         *end = adjacency_.NeighborsEnd(v);
-           p != end; ++p) {
-        if (stamp.Contains(*p)) return true;
-      }
-    }
-  }
-
-  // Hypergraph layer: edge-membership tests need the member set stamped.
-  if (higher_ == nullptr || higher_->incident_edges(v).empty()) return false;
-  if (!members_stamped) stamp.Stamp(rows_.size(), same_color);
-  return HyperedgeWouldViolate(higher_.get(), v, stamp);
-}
-
 // ---- NaiveConflictOracle (brute force, reference). ----
 
 StatusOr<NaiveConflictOracle> NaiveConflictOracle::Build(
@@ -790,17 +659,6 @@ void NaiveConflictOracle::AppendForbiddenColors(
     if (PairConflicts(u, v)) out->push_back(colors[u]);
   }
   if (higher_ != nullptr) higher_->AppendForbiddenColors(v, colors, out);
-}
-
-bool NaiveConflictOracle::WouldViolate(
-    size_t v, const std::vector<size_t>& same_color) const {
-  for (size_t u : same_color) {
-    if (u != v && PairConflicts(u, v)) return true;
-  }
-  if (higher_ == nullptr || higher_->incident_edges(v).empty()) return false;
-  ProbeStamp& stamp = ProbeStamp::ThreadLocal();
-  stamp.Stamp(rows_.size(), same_color);
-  return HyperedgeWouldViolate(higher_.get(), v, stamp);
 }
 
 // ---- Factory with fallback. ----

@@ -78,22 +78,17 @@ struct BuildOracleInfo {
   size_t biclique_overflows = 0;
 };
 
-/// ConflictOracle plus the pairwise and set queries phase II needs.
+/// ConflictOracle plus the pair query and edge count of one partition
+/// (local vertex v is the v-th row the oracle was built over). Phase II
+/// colors through GreedyListColoring only, for partitions and repair alike.
 /// Implemented by both the indexed and the brute-force oracle so they are
 /// interchangeable and cross-checkable.
 class PartitionOracle : public ConflictOracle {
  public:
-  /// v_join/R1 row ids forming the partition (local vertex v = rows()[v]).
-  virtual const std::vector<uint32_t>& rows() const = 0;
-
-  /// True when local vertices u, v conflict under some binary DC (used when
-  /// inserting invalid tuples into an already-colored partition).
+  /// True when local vertices u, v conflict under some binary DC (the pair
+  /// query behind the naive oracle's degrees and forbidden colors, and the
+  /// cross-check between the two oracles).
   virtual bool PairConflicts(size_t u, size_t v) const = 0;
-
-  /// True when assigning `v` the same color as the already-colored vertices
-  /// in `same_color` (local ids) would violate any DC.
-  virtual bool WouldViolate(size_t v,
-                            const std::vector<size_t>& same_color) const = 0;
 
   /// Total pairwise edges plus explicit hyperedges (cached at construction).
   virtual size_t CountEdges() const = 0;
@@ -118,8 +113,6 @@ class PartitionConflictOracle final : public PartitionOracle {
       std::vector<uint32_t> rows, const ConflictOracleOptions& options,
       std::shared_ptr<const Hypergraph> higher);
 
-  const std::vector<uint32_t>& rows() const override { return rows_; }
-
   // ConflictOracle:
   size_t NumVertices() const override { return rows_.size(); }
   int64_t Degree(size_t v) const override { return degrees_[v]; }
@@ -136,8 +129,6 @@ class PartitionConflictOracle final : public PartitionOracle {
   bool PairConflicts(size_t u, size_t v) const override {
     return adjacency_.HasEdge(u, v) || implicit_.PairConflicts(u, v);
   }
-  bool WouldViolate(size_t v,
-                    const std::vector<size_t>& same_color) const override;
   size_t CountEdges() const override { return num_edges_; }
 
   const AdjacencyGraph& adjacency() const { return adjacency_; }
@@ -177,8 +168,6 @@ class NaiveConflictOracle final : public PartitionOracle {
       std::vector<uint32_t> rows, const ConflictOracleOptions& options,
       std::shared_ptr<const Hypergraph> higher);
 
-  const std::vector<uint32_t>& rows() const override { return rows_; }
-
   // ConflictOracle:
   size_t NumVertices() const override { return rows_.size(); }
   int64_t Degree(size_t v) const override { return degrees_[v]; }
@@ -187,8 +176,6 @@ class NaiveConflictOracle final : public PartitionOracle {
 
   // PartitionOracle:
   bool PairConflicts(size_t u, size_t v) const override;
-  bool WouldViolate(size_t v,
-                    const std::vector<size_t>& same_color) const override;
   size_t CountEdges() const override { return num_edges_; }
 
  private:

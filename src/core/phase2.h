@@ -6,11 +6,13 @@
 // partition's conflict structure is list-colored (Algorithm 3). Skipped
 // vertices receive fresh keys, which materializes new R2 tuples. Invalid
 // tuples (no B values) are completed last with error-minimizing combos
-// (solveInvalidTuples), probing candidate keys through per-combo conflict
-// oracles so every DC arity is honored. Partitions can be colored in
-// parallel (Appendix A.3); fresh keys are renumbered deterministically after
-// coloring and all RNG streams are derived per partition, so the output is
-// identical at any thread count for a fixed seed.
+// (solveInvalidTuples) and then colored into their combo's partition: the
+// partition's coloring is resumed over a per-combo conflict oracle holding
+// both, so every DC arity is honored, and rows left uncolored get fresh
+// keys exactly like skipped partition vertices. Partitions can be colored
+// in parallel (Appendix A.3); fresh keys are renumbered deterministically
+// after coloring and all RNG streams are derived per partition, so the
+// output is identical at any thread count for a fixed seed.
 //
 // This header holds the options and stats of that stage. The stage itself
 // runs as a frozen SynthesisPlan (core/plan.h) streamed through the
@@ -61,13 +63,13 @@ struct Phase2Stats {
   size_t repair_oracle_cache_hits = 0;
   size_t repair_oracle_rebuilds = 0;
   /// Degradation-ladder accounting (see src/core/README.md "Resilience"):
-  /// partitions whose indexed oracle build fell back to the naive oracle,
-  /// product DCs materialized because the implicit-biclique family was full,
-  /// and repair combo groups probed by direct DC scans because the per-combo
-  /// oracle build exceeded a resource cap. Every rung preserves
-  /// bit-identical output.
+  /// oracle builds (partition or repair) that fell back to the naive oracle,
+  /// and product DCs materialized because the implicit-biclique family was
+  /// full. Every rung preserves bit-identical output.
   size_t naive_oracle_fallbacks = 0;
   size_t biclique_overflows = 0;
+  /// Kept for existing readers of the stats: repair has no scan-probe rung
+  /// (an oracle build over a cap fails the run), so this is always 0.
   size_t scan_probe_repairs = 0;
   /// Shard-executor accounting: shards retired to the sink, failed emissions
   /// regenerated in place from the plan (no whole-run restart), and the

@@ -323,6 +323,7 @@ StatusOr<PreparedPlan> PreparePlan(const SynthesisPlan& plan,
   prepared.plan = &plan;
   prepared.v_join = &v_join;
   CEXTEND_ASSIGN_OR_RETURN(prepared.bound_dcs, BindAll(dcs, v_join));
+  prepared.dcs = dcs;
 
   // Partitions are keyed by combo id, which matches partitioning by combo
   // codes only while the table interns each combo once.

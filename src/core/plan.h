@@ -115,11 +115,13 @@ struct PlanPartition {
 };
 
 /// Runtime context derived from a plan against concrete tables: partitions,
-/// the size-descending worklist, bound DCs, the repair grouping, and the
-/// fresh-key base. Holds pointers into `v_join` / `r2`; both must outlive it.
+/// the size-descending worklist, the DCs (as given and bound), the repair
+/// grouping, and the fresh-key base. Holds pointers into `v_join` / `r2`;
+/// both must outlive it.
 struct PreparedPlan {
   const SynthesisPlan* plan = nullptr;
   const Table* v_join = nullptr;
+  std::vector<DenialConstraint> dcs;  ///< the DC set bound_dcs came from
   std::vector<BoundDenialConstraint> bound_dcs;
   std::vector<PlanPartition> partitions;  ///< insertion order (first row)
   std::unordered_map<std::vector<int64_t>, size_t, CodeVectorHash>

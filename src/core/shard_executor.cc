@@ -20,53 +20,35 @@
 namespace cextend {
 namespace {
 
-/// True when some `need`-subset of members[start..] completes `tuple` into a
-/// row set on which the DC body holds (any ordering).
-bool SubsetViolates(const Table& table, const BoundDenialConstraint& dc,
-                    const std::vector<size_t>& members,
-                    const std::vector<uint32_t>& rows, size_t start,
-                    size_t need, std::vector<uint32_t>& tuple) {
-  if (need == 0) return dc.BodyHoldsUnordered(table, tuple);
-  for (size_t i = start; i + need <= members.size(); ++i) {
-    tuple.push_back(rows[members[i]]);
-    if (SubsetViolates(table, dc, members, rows, i + 1, need - 1, tuple)) {
-      tuple.pop_back();
-      return true;
-    }
-    tuple.pop_back();
+/// ColoringLF over `oracle` from `candidates`, resuming from `*colors`
+/// (empty = all uncolored, else one entry per vertex), then Algorithm 4's
+/// fresh-color pass: the |s| skipped vertices are colored from |s| keys
+/// minted by `*next_fresh`, iterated in the (k-ary) corner case where skips
+/// remain. Every minted key is a new R2 tuple. `*colors` receives the final
+/// coloring; returns the skips summed over all passes.
+size_t ColorWithFreshKeys(const PartitionOracle& oracle,
+                          const std::vector<int64_t>& candidates,
+                          std::vector<int64_t>* colors, int64_t* next_fresh) {
+  ListColoringResult coloring =
+      GreedyListColoring(oracle, std::move(*colors), candidates);
+  size_t skipped = coloring.skipped.size();
+  while (!coloring.skipped.empty()) {
+    std::vector<int64_t> fresh(coloring.skipped.size());
+    for (int64_t& key : fresh) key = (*next_fresh)++;
+    ListColoringResult next =
+        GreedyListColoring(oracle, std::move(coloring.colors), fresh);
+    CEXTEND_CHECK(next.skipped.size() < coloring.skipped.size())
+        << "fresh-color pass must make progress";
+    coloring = std::move(next);
+    skipped += coloring.skipped.size();
   }
-  return false;
-}
-
-/// Direct-evaluation twin of PartitionOracle::WouldViolate for the repair
-/// stage: true when giving `row` the same key as the bucket `members` (local
-/// ids into `rows`) violates any DC. Covers every arity uniformly;
-/// O(|bucket|^(arity-1)) per DC. The repair pass's handler for a per-combo
-/// oracle build that exceeds its resource caps.
-bool ScanWouldViolate(const Table& table,
-                      const std::vector<BoundDenialConstraint>& dcs,
-                      uint32_t row, const std::vector<size_t>& members,
-                      const std::vector<uint32_t>& rows) {
-  for (const BoundDenialConstraint& dc : dcs) {
-    if (dc.arity() == 2) {
-      for (size_t m : members) {
-        if (rows[m] != row &&
-            dc.BodyHoldsUnordered(table, {row, rows[m]})) {
-          return true;
-        }
-      }
-      continue;
-    }
-    size_t need = static_cast<size_t>(dc.arity()) - 1;
-    if (members.size() < need) continue;
-    std::vector<uint32_t> tuple = {row};
-    if (SubsetViolates(table, dc, members, rows, 0, need, tuple)) return true;
-  }
-  return false;
+  *colors = std::move(coloring.colors);
+  return skipped;
 }
 
 /// Per-partition flag: 1 iff the partition's combo is a repair target, i.e.
-/// the repair stage will probe against this partition's resolved colors.
+/// the repair stage resumes the coloring from this partition's resolved
+/// colors.
 std::vector<uint8_t> RepairPartitionFlags(const PreparedPlan& prepared) {
   std::vector<uint8_t> flags(prepared.partitions.size(), 0);
   for (const auto& [combo_id, group] : prepared.repair_groups) {
@@ -369,26 +351,15 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
         std::unique_ptr<PartitionOracle> oracle,
         BuildPartitionOracle(v_join, prepared.bound_dcs, p.rows,
                              oracle_options, &build_info));
-    ListColoringResult coloring = GreedyListColoring(*oracle, {}, p.candidates);
-    size_t skipped_here = coloring.skipped.size();
-    // |s| fresh colors, then color the skipped vertices with them; iterate
-    // in the (k-ary) corner case where skips remain.
-    while (!coloring.skipped.empty()) {
-      std::vector<int64_t> fresh(coloring.skipped.size());
-      for (int64_t& key : fresh) key = provisional_next++;
-      block.num_fresh += fresh.size();
-      ListColoringResult next =
-          GreedyListColoring(*oracle, std::move(coloring.colors), fresh);
-      CEXTEND_CHECK(next.skipped.size() < coloring.skipped.size())
-          << "fresh-color pass must make progress";
-      coloring = std::move(next);
-      skipped_here += coloring.skipped.size();
-    }
+    std::vector<int64_t> colors;
+    const int64_t first_fresh = provisional_next;
+    out.skipped_vertices += ColorWithFreshKeys(*oracle, p.candidates, &colors,
+                                               &provisional_next);
+    block.num_fresh = static_cast<uint64_t>(provisional_next - first_fresh);
     block.rows.resize(p.rows.size());
     for (size_t v = 0; v < p.rows.size(); ++v) {
-      block.rows[v] = ShardRow{p.rows[v], coloring.colors[v]};
+      block.rows[v] = ShardRow{p.rows[v], colors[v]};
     }
-    out.skipped_vertices += skipped_here;
     if (build_info.naive_fallback) ++out.naive_oracle_fallbacks;
     out.biclique_overflows += build_info.biclique_overflows;
     out.blocks.push_back(std::move(block));
@@ -420,7 +391,7 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
   // Partitions whose combo is a repair target have their resolved colors
   // retained at retirement — the only per-row state the repair stage needs
   // besides the plan: it rebuilds each combo's oracle from the partition's
-  // rows, and these colors seed the same-key buckets it probes.
+  // rows, and these colors seed the coloring it resumes.
   const std::vector<uint8_t> is_repair_partition =
       RepairPartitionFlags(prepared);
 
@@ -555,90 +526,55 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
 
   // ---- solveInvalidTuples pass 2, retired as the final shard. ----
   // Runs serially after every partition shard (its fresh keys extend the
-  // global sequence); per touched combo, build one conflict oracle over the
-  // combo's partition rows plus the repaired rows and probe candidate keys
-  // for each repaired row against the current same-key bucket. A build that
-  // exceeds a resource cap (or the phase2.repair_oracle fault) degrades the
-  // group to direct ScanWouldViolate probes, which answer the identical
-  // question, so the chosen keys are bit-identical (equivalence-tested).
-  // Skipped entirely when the resume state says the repair shard already
-  // retired — then only the sink trailer below is (re)written, healing a
-  // crash between the repair commit and the trailer.
+  // global sequence). Per touched combo, build one conflict oracle over the
+  // combo's partition rows plus the repaired rows, seed it with the
+  // partition's retained colors, and resume ColoringLF over the combo's keys:
+  // the repaired rows are colored largest-degree-first, and the ones it skips
+  // get fresh keys through the same pass EmitShard uses. Skipped entirely
+  // when the resume state says the repair shard already retired — then only
+  // the sink trailer below is (re)written, healing a crash between the
+  // repair commit and the trailer.
   if (!resume.repair_done) {
     ScopedTimer timer(&stats.invalid_seconds);
     ResolvedShard repair;
     repair.shard_id = num_shards;
     ResolvedShard::Block block;
     block.worklist_idx = ResolvedShard::kRepairBlock;
-    if (!prepared.repair_groups.empty()) {
-      const Table& v_join = *prepared.v_join;
-      ConflictOracleOptions repair_oracle_options;
-      repair_oracle_options.pool = pool.get();
-      repair_oracle_options.run_control = options.run_control;
-      for (const auto& [combo_id, group] : prepared.repair_groups) {
-        CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
-        const std::vector<int64_t>& combo =
-            prepared.combos.combo_codes(combo_id);
-        std::vector<uint32_t> oracle_rows;
-        auto pit = prepared.partition_index.find(combo);
-        if (pit != prepared.partition_index.end()) {
-          oracle_rows = prepared.partitions[pit->second].rows;
-        }
-        size_t num_colored = oracle_rows.size();
-        oracle_rows.insert(oracle_rows.end(), group.begin(), group.end());
-        std::unique_ptr<PartitionOracle> oracle;
-        if (CEXTEND_INJECT_FAULT("phase2.repair_oracle")) {
-          // Simulated build resource exhaustion: the group degrades to
-          // direct ScanWouldViolate probes (oracle-probe→scan-probe rung).
-          ++stats.scan_probe_repairs;
-        } else {
-          BuildOracleInfo build_info;
-          auto oracle_or =
-              BuildPartitionOracle(v_join, prepared.bound_dcs, oracle_rows,
-                                   repair_oracle_options, &build_info);
-          if (!oracle_or.ok() &&
-              oracle_or.status().code() != StatusCode::kResourceExhausted) {
-            return oracle_or.status();
-          }
-          if (oracle_or.ok()) {
-            oracle = std::move(oracle_or).value();
-            ++stats.repair_oracles;
-            ++stats.repair_oracle_rebuilds;
-            if (build_info.naive_fallback) ++stats.naive_oracle_fallbacks;
-            stats.biclique_overflows += build_info.biclique_overflows;
-          } else {
-            ++stats.scan_probe_repairs;
-          }
-        }
-        // Same-key buckets as local vertex ids.
-        std::unordered_map<int64_t, std::vector<size_t>> bucket;
-        for (size_t v = 0; v < num_colored; ++v) {
-          bucket[color_of_row.at(oracle_rows[v])].push_back(v);
-        }
-        for (size_t g = 0; g < group.size(); ++g) {
-          size_t local = num_colored + g;
-          uint32_t row = group[g];
-          int64_t chosen = kNoColor;
-          for (int64_t key : prepared.combos.keys(combo_id)) {
-            auto it = bucket.find(key);
-            bool ok =
-                it == bucket.end() ||
-                (oracle != nullptr
-                     ? !oracle->WouldViolate(local, it->second)
-                     : !ScanWouldViolate(v_join, prepared.bound_dcs, row,
-                                         it->second, oracle_rows));
-            if (ok) {
-              chosen = key;
-              break;
-            }
-          }
-          if (chosen == kNoColor) {
-            chosen = next_key++;
-            block.new_tuples.push_back(ResolvedShard::NewTuple{chosen, combo});
-          }
-          block.rows.push_back(ShardRow{row, chosen});
-          bucket[chosen].push_back(local);
-        }
+    ConflictOracleOptions repair_oracle_options;
+    repair_oracle_options.pool = pool.get();
+    repair_oracle_options.run_control = options.run_control;
+    for (const auto& [combo_id, group] : prepared.repair_groups) {
+      CEXTEND_RETURN_IF_ERROR(options.run_control.Check());
+      const std::vector<int64_t>& combo = prepared.combos.combo_codes(combo_id);
+      std::vector<uint32_t> oracle_rows;
+      auto pit = prepared.partition_index.find(combo);
+      if (pit != prepared.partition_index.end()) {
+        oracle_rows = prepared.partitions[pit->second].rows;
+      }
+      const size_t num_colored = oracle_rows.size();
+      oracle_rows.insert(oracle_rows.end(), group.begin(), group.end());
+      std::vector<int64_t> colors(oracle_rows.size(), kNoColor);
+      for (size_t v = 0; v < num_colored; ++v) {
+        colors[v] = color_of_row.at(oracle_rows[v]);
+      }
+      BuildOracleInfo build_info;
+      CEXTEND_ASSIGN_OR_RETURN(
+          std::unique_ptr<PartitionOracle> oracle,
+          BuildPartitionOracle(*prepared.v_join, prepared.bound_dcs,
+                               std::move(oracle_rows), repair_oracle_options,
+                               &build_info));
+      ++stats.repair_oracles;
+      ++stats.repair_oracle_rebuilds;
+      if (build_info.naive_fallback) ++stats.naive_oracle_fallbacks;
+      stats.biclique_overflows += build_info.biclique_overflows;
+      const int64_t first_fresh = next_key;
+      ColorWithFreshKeys(*oracle, prepared.combos.keys(combo_id), &colors,
+                         &next_key);
+      for (int64_t key = first_fresh; key < next_key; ++key) {
+        block.new_tuples.push_back(ResolvedShard::NewTuple{key, combo});
+      }
+      for (size_t g = 0; g < group.size(); ++g) {
+        block.rows.push_back(ShardRow{group[g], colors[num_colored + g]});
       }
     }
     repair.blocks.push_back(std::move(block));

@@ -235,11 +235,16 @@ struct ExecuteResume {
 /// flight (0 = unbounded), retired strictly in shard order. Emission
 /// parallelism = min(threads, shards, window). A shard whose emission fails
 /// is regenerated in place (up to 2 retries; deadline/cancel excepted),
-/// counted in Phase2Stats::shard_regenerations. Timings, ladder counters,
-/// and memory high-water marks are returned in the stats. `resume` restarts
-/// the run at resume.first_shard with the checkpointed fresh-key counter and
-/// repair colors; stats then cover only the work actually redone (except
-/// new_r2_tuples, which stays the whole-run total).
+/// counted in Phase2Stats::shard_regenerations. The repair stage then runs
+/// serially: per repair combo it resumes the partition's retained coloring
+/// over an oracle of the partition plus the repaired rows, with EmitShard's
+/// fresh-key pass for the rows it skips; a repair oracle whose hyperedge
+/// enumeration exceeds its cap fails the run with kResourceExhausted.
+/// Timings, ladder counters, and memory high-water marks are returned in
+/// the stats. `resume` restarts the run at resume.first_shard with the
+/// checkpointed fresh-key counter and repair colors; stats then cover only
+/// the work actually redone (except new_r2_tuples, which stays the whole-run
+/// total).
 StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
                                   const Phase2Options& options, RowSink* sink,
                                   const ExecuteResume& resume = {});

@@ -28,14 +28,13 @@ std::string SolveStats::Summary() const {
   std::string out = StrFormat(
       "total=%s phase1=%s phase2=%s ccs(hasse=%zu ilp=%zu) "
       "fill(%zu bins -> %zu free lists) invalid=%zu (%zu signatures) "
-      "new_r2=%zu skipped=%zu repair(oracles=%zu scan=%zu)",
+      "new_r2=%zu skipped=%zu repair(oracles=%zu)",
       FormatDuration(total_seconds).c_str(),
       FormatDuration(phase1_seconds).c_str(),
       FormatDuration(phase2_seconds).c_str(), phase1.ccs_to_hasse,
       phase1.ccs_to_ilp, phase1.fill.leftover_bins, phase1.fill.free_lists,
       invalid_tuples, repair_signatures, phase2.new_r2_tuples,
-      phase2.skipped_vertices, phase2.repair_oracles,
-      phase2.scan_probe_repairs);
+      phase2.skipped_vertices, phase2.repair_oracles);
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",
                    phase2.peak_resident_bytes, phase2.shards_emitted,
                    phase2.max_shards_in_flight);
@@ -45,19 +44,17 @@ std::string SolveStats::Summary() const {
   }
   if (AnyDegradation()) {
     out += StrFormat(
-        " ladder(naive=%zu biclique_overflow=%zu cold=%lld scan_probe=%zu"
-        " shard_regen=%zu)",
+        " ladder(naive=%zu biclique_overflow=%zu cold=%lld shard_regen=%zu)",
         phase2.naive_oracle_fallbacks, phase2.biclique_overflows,
         static_cast<long long>(phase1.ilp.cold_fallbacks),
-        phase2.scan_probe_repairs, phase2.shard_regenerations);
+        phase2.shard_regenerations);
   }
   return out;
 }
 
 bool SolveStats::AnyDegradation() const {
   return phase2.naive_oracle_fallbacks > 0 || phase2.biclique_overflows > 0 ||
-         phase2.scan_probe_repairs > 0 || phase2.shard_regenerations > 0 ||
-         phase1.ilp.cold_fallbacks > 0;
+         phase2.shard_regenerations > 0 || phase1.ilp.cold_fallbacks > 0;
 }
 
 }  // namespace cextend

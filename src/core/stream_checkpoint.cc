@@ -22,7 +22,7 @@ namespace cextend {
 namespace {
 
 constexpr char kManifestMagic[4] = {'C', 'X', 'M', 'F'};
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
 /// kind + shard id + end offset + range checksum + next key + rows + tuples
 /// + color count (colors and the trailing record checksum follow).
 constexpr size_t kRecordFixedBytes = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
@@ -341,17 +341,23 @@ Status DurableStreamSink::Finish() {
 
 }  // namespace
 
-uint64_t PlanDigest(const SynthesisPlan& plan) {
-  const std::string bytes = plan.Serialize();
+uint64_t PlanDigest(const SynthesisPlan& plan,
+                    const std::vector<DenialConstraint>& dcs) {
+  std::string bytes = plan.Serialize();
+  for (const DenialConstraint& dc : dcs) {
+    const std::string text = dc.ToString();
+    PutU64(&bytes, text.size());
+    bytes += text;
+  }
   return MixHash64(0, Fnv1a(kFnv1aBasis, bytes.data(), bytes.size()) ^
                           static_cast<uint64_t>(bytes.size()));
 }
 
 // ---- LoadResumePoint ----
 
-StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
-                                            const std::string& manifest_path,
-                                            const SynthesisPlan& plan) {
+StatusOr<StreamResumePoint> LoadResumePoint(
+    const std::string& stream_path, const std::string& manifest_path,
+    const SynthesisPlan& plan, const std::vector<DenialConstraint>& dcs) {
   StreamResumePoint rp;
   std::ifstream manifest(manifest_path, std::ios::binary);
   if (!manifest.is_open()) return rp;  // no manifest yet: fresh run
@@ -359,7 +365,8 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
                     std::istreambuf_iterator<char>());
   manifest.close();
   // A torn *file header* carries no commitments; start fresh. A complete
-  // header that names a different plan is a caller error, not a torn tail.
+  // header that names another plan or DC set is a caller error, not a torn
+  // tail.
   ByteReader in(bytes);
   std::string magic;
   uint32_t version = 0;
@@ -376,10 +383,10 @@ StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
                                    ": unsupported CXMF version " +
                                    std::to_string(version));
   }
-  if (digest != PlanDigest(plan)) {
+  if (digest != PlanDigest(plan, dcs)) {
     return Status::InvalidArgument(
         manifest_path +
-        " was written for a different plan; refusing to resume");
+        " was written for a different plan or DC set; refusing to resume");
   }
   if (num_shards != plan.num_shards()) {
     return Status::InvalidArgument(manifest_path +
@@ -600,7 +607,8 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
   StreamResumePoint rp;
   if (spec.resume) {
     CEXTEND_ASSIGN_OR_RETURN(
-        rp, LoadResumePoint(spec.stream_path, manifest_path, *prepared.plan));
+        rp, LoadResumePoint(spec.stream_path, manifest_path, *prepared.plan,
+                            prepared.dcs));
   }
 
   if (rp.finished) {
@@ -650,7 +658,7 @@ StatusOr<Phase2Stats> ExecutePlanDurable(const PreparedPlan& prepared,
   text.ResumeCounts(static_cast<size_t>(rp.rows_written),
                     static_cast<size_t>(rp.tuples_written));
   DurableStreamSink durable(&text, data.get(), manifest.get(),
-                            PlanDigest(*prepared.plan), rp);
+                            PlanDigest(*prepared.plan, prepared.dcs), rp);
   TeeSink teed(&durable, tee);
   RowSink* sink = tee != nullptr ? static_cast<RowSink*>(&teed) : &durable;
 

@@ -28,7 +28,7 @@
 //
 // Manifest layout:
 //
-//   "CXMF" | u32 version=1 | u64 plan_digest | u64 num_shards
+//   "CXMF" | u32 version=2 | u64 plan_digest | u64 num_shards
 //   record*:
 //     u32 kind (0 = stream header, 1 = shard, 2 = finish)
 //     u64 shard_id            (kind 1: 0..num_shards, num_shards = repair)
@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/phase2.h"
 #include "core/plan.h"
@@ -54,10 +55,12 @@
 
 namespace cextend {
 
-/// Digest binding a manifest to the exact plan that produced the stream
-/// (FNV-1a over the plan's canonical serialization, mixed). Resuming under a
-/// different plan is refused up front.
-uint64_t PlanDigest(const SynthesisPlan& plan);
+/// Digest binding a manifest to the exact plan and DC set that produced the
+/// stream (FNV-1a over the plan's canonical serialization followed by each
+/// DC's length-prefixed ToString(), mixed). Resuming under a different plan
+/// or DC set is refused up front.
+uint64_t PlanDigest(const SynthesisPlan& plan,
+                    const std::vector<DenialConstraint>& dcs);
 
 /// Everything a resumed run needs from the durable prefix, reconstructed by
 /// LoadResumePoint from the manifest's valid record prefix. Default state =
@@ -76,16 +79,17 @@ struct StreamResumePoint {
   ExecuteResume resume;
 };
 
-/// Validates `manifest_path` against `plan` and `stream_path` and returns
-/// the last committed state: the manifest is truncated (logically) to its
-/// longest checksum-valid, correctly-sequenced record prefix, and every
-/// committed stream range is re-checksummed against the stream file. A
-/// missing or empty manifest yields a fresh-run resume point; a manifest for
-/// a different plan, or a stream that contradicts committed records, is an
-/// error (resuming would corrupt output).
-StatusOr<StreamResumePoint> LoadResumePoint(const std::string& stream_path,
-                                            const std::string& manifest_path,
-                                            const SynthesisPlan& plan);
+/// Validates `manifest_path` against `plan`, `dcs` and `stream_path` and
+/// returns the last committed state: the manifest is truncated (logically)
+/// to its longest checksum-valid, correctly-sequenced record prefix, and
+/// every committed stream range is re-checksummed against the stream file. A
+/// missing or empty manifest yields a fresh-run resume point; a manifest of
+/// another version, for a different plan or DC set, or a stream that
+/// contradicts committed records, is an error (resuming would corrupt
+/// output).
+StatusOr<StreamResumePoint> LoadResumePoint(
+    const std::string& stream_path, const std::string& manifest_path,
+    const SynthesisPlan& plan, const std::vector<DenialConstraint>& dcs);
 
 /// Re-reads the committed stream prefix [0, limit) and replays its records
 /// into `sink` as synthetic resolved shards (used to rebuild in-memory

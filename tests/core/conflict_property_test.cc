@@ -1,6 +1,6 @@
 // Randomized cross-check of the indexed PartitionConflictOracle against the
 // brute-force NaiveConflictOracle: adjacency, degrees, edge counts, forbidden
-// colors, WouldViolate and full greedy colorings must match exactly across
+// colors and full greedy colorings must match exactly across
 // seeds, DC shapes (equality / ordering / != / no cross atoms / same-tuple
 // atoms / arity 3) and NULL-bearing columns.
 
@@ -110,7 +110,8 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
     dcs.push_back(std::move(dc));
   }
   // No-cross-atom DC with a same-tuple binary atom as a side filter: the
-  // implicit side masks must honor SideEligible, not just the unary atoms.
+  // implicit side masks must honor BuildSideMask's same-tuple rule, not just
+  // the unary atoms.
   if (rng.Bernoulli(0.5)) {
     DenialConstraint dc(2, "filtered-product");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Child"));
@@ -181,7 +182,7 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
     }
   }
 
-  // Random partial colorings: forbidden sets and WouldViolate must agree.
+  // Random partial colorings: forbidden sets must agree.
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<int64_t> colors(m, kNoColor);
     for (size_t v = 0; v < m; ++v) {
@@ -194,15 +195,6 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
       auto rhs = ForbiddenSet(*naive, v, colors);
       EXPECT_EQ(std::set<int64_t>(lhs.begin(), lhs.end()),
                 std::set<int64_t>(rhs.begin(), rhs.end()))
-          << "vertex " << v;
-    }
-    std::vector<size_t> same_color;
-    for (size_t v = 0; v < m; ++v) {
-      if (rng.Bernoulli(0.3)) same_color.push_back(v);
-    }
-    for (size_t v = 0; v < m; ++v) {
-      EXPECT_EQ(indexed->WouldViolate(v, same_color),
-                naive->WouldViolate(v, same_color))
           << "vertex " << v;
     }
   }
@@ -423,8 +415,9 @@ TEST(ImplicitCliqueTest, CliquePartitionBuildsWithoutMaterializedPairs) {
   }
   EXPECT_TRUE(indexed->PairConflicts(0, n - 1));
   EXPECT_FALSE(indexed->PairConflicts(5, 5));
-  std::vector<size_t> bucket = {1, 2, 3};
-  EXPECT_TRUE(indexed->WouldViolate(0, bucket));
+  std::vector<int64_t> colors(n, kNoColor);
+  colors[1] = colors[2] = colors[3] = 4;
+  EXPECT_GT(ForbiddenSet(*indexed, 0, colors).count(4), 0u);
   // A full greedy coloring with n candidates assigns every vertex a distinct
   // color without ever materializing an edge.
   std::vector<int64_t> candidates;

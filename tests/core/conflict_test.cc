@@ -46,10 +46,11 @@ TEST(ConflictOracleTernaryTest, HyperedgesPerClause) {
   oracle->AppendForbiddenColors(0, colors, &out);
   EXPECT_EQ(out, (std::vector<int64_t>{5}));
 
-  // WouldViolate: joining a fully monochrome pair completes the edge.
-  EXPECT_TRUE(oracle->WouldViolate(0, {1, 2}));
-  EXPECT_FALSE(oracle->WouldViolate(0, {1}));
-  EXPECT_FALSE(oracle->WouldViolate(0, {3, 4}));  // different clause
+  // A monochrome pair in another clause constrains nothing.
+  colors[3] = colors[4] = 6;
+  out.clear();
+  oracle->AppendForbiddenColors(0, colors, &out);
+  EXPECT_EQ(out, (std::vector<int64_t>{5}));
 }
 
 TEST(ConflictOracleTernaryTest, ColoringRespectsHyperedges) {

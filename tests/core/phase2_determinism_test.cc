@@ -11,7 +11,6 @@
 
 #include "core/phase2.h"
 #include "test_util.h"
-#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace cextend {
@@ -103,16 +102,13 @@ Instance MakeInstance() {
                   std::move(v_join),        std::move(invalid)};
 }
 
-/// `scan_repairs` arms the phase2.repair_oracle fault, so every repair
-/// combo group takes the ScanWouldViolate fallback instead of an oracle.
 Phase2Tables RunAt(const Instance& instance, size_t threads,
-                   bool random_assignment = false, bool scan_repairs = false) {
+                   bool random_assignment = false) {
   Table v_join = instance.v_join.Clone();  // planning mutates invalid rows
   Phase2Options options;
   options.num_threads = threads;
   options.seed = 9;
   options.random_assignment = random_assignment;
-  ScopedFaults faults(scan_repairs ? "phase2.repair_oracle" : "");
   auto result = testing_fixtures::ExecutePhase2(
       v_join, instance.persons, instance.housing, instance.names, instance.dcs,
       {}, instance.invalid, options);
@@ -155,34 +151,6 @@ TEST(Phase2DeterminismTest, RepeatedRunsAreStable) {
     Phase2Tables again = RunAt(instance, 8);
     ExpectTablesEqual(first.r1_hat, again.r1_hat, "r1_hat");
     ExpectTablesEqual(first.r2_hat, again.r2_hat, "r2_hat");
-  }
-}
-
-TEST(Phase2DeterminismTest, RepairScanFallbackMatchesOracleAtAnyThreadCount) {
-  // solveInvalidTuples probing by direct DC scans (the fallback for a
-  // per-combo oracle build that exhausts a resource cap) must choose the
-  // exact keys the per-combo oracle chooses — at every thread count, with
-  // the fixture's arity-3 DC in play.
-  if (!FaultInjection::CompiledIn()) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
-  Instance instance = MakeInstance();
-  Phase2Tables reference = RunAt(instance, 1);
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (bool scan : {false, true}) {
-      Phase2Tables run = RunAt(instance, threads, /*random_assignment=*/false,
-                               /*scan_repairs=*/scan);
-      ExpectTablesEqual(reference.r1_hat, run.r1_hat, "r1_hat");
-      ExpectTablesEqual(reference.r2_hat, run.r2_hat, "r2_hat");
-      // Each run must take the path it names, else the comparison is vacuous.
-      if (scan) {
-        EXPECT_GT(run.stats.scan_probe_repairs, 0u);
-        EXPECT_EQ(run.stats.repair_oracles, 0u);
-      } else {
-        EXPECT_GT(run.stats.repair_oracles, 0u);
-        EXPECT_EQ(run.stats.scan_probe_repairs, 0u);
-      }
-    }
   }
 }
 

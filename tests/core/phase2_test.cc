@@ -209,7 +209,6 @@ TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
                               in.dcs, {}, {0, 1, 2, 3, 4}, {});
   ASSERT_TRUE(phase2.ok()) << phase2.status().ToString();
   EXPECT_EQ(phase2->stats.repair_oracles, 1u);
-  EXPECT_EQ(phase2->stats.scan_probe_repairs, 0u);
   auto report = EvaluateDcError(in.dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->num_violations, 0u) << report->Summary();
@@ -220,21 +219,54 @@ TEST(Phase2Test, InvalidTupleRepairHonorsArityFourDcs) {
   EXPECT_EQ(mismatches.value(), 0u);
 }
 
-TEST(Phase2Test, InvalidTupleRepairFallsBackWhenOracleCapped) {
-  // The phase2.repair_oracle fault simulates a per-combo repair oracle build
-  // that exhausts a resource cap; repair must degrade to the direct bucket
-  // scan (which also covers arity 4) instead of failing the run.
-  if (!FaultInjection::CompiledIn()) {
-    GTEST_SKIP() << "fault injection compiled out";
+TEST(Phase2Test, RepairColorsLargestDegreeFirst) {
+  // Two valid rows P1, P2 and two invalid rows A, B, all in area X with
+  // houses 1 and 2. DCs: P1-P2, B-P2, A-B. The partition colors P1 -> 1 and
+  // P2 -> 2, so B can only take house 1. A, first in plan order, could take
+  // house 1 too; repair must color B (degree 2) before A (degree 1), which
+  // seats A in house 2 and needs no new R2 tuple. Plan order would give A
+  // house 1 and B a fresh key.
+  Schema persons_schema{{"pid", DataType::kInt64},
+                        {"Rel", DataType::kString},
+                        {"hid", DataType::kInt64}};
+  Table persons{persons_schema};
+  const char* rels[] = {"P1", "P2", "A", "B"};
+  for (int64_t i = 0; i < 4; ++i) {
+    CEXTEND_CHECK(
+        persons.AppendRow({Value(i + 1), Value(rels[i]), Value::Null()}).ok());
   }
-  SeniorsInstance in = MakeSeniorsInstance();
-  ScopedFaults faults("phase2.repair_oracle");
-  auto phase2 = ExecutePhase2(in.v_join, in.persons, in.housing, in.names,
-                              in.dcs, {}, {0, 1, 2, 3, 4}, {});
+  Schema housing_schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}};
+  Table housing{housing_schema};
+  for (int64_t h = 1; h <= 2; ++h) {
+    CEXTEND_CHECK(housing.AppendRow({Value(h), Value("X")}).ok());
+  }
+  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
+  ASSERT_TRUE(names.ok());
+  std::vector<DenialConstraint> dcs;
+  for (auto [lhs, rhs] : {std::pair{"P1", "P2"}, std::pair{"B", "P2"},
+                          std::pair{"A", "B"}}) {
+    DenialConstraint dc(2, std::string(lhs) + "-" + rhs);
+    dc.Unary(0, "Rel", CompareOp::kEq, Value(lhs));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value(rhs));
+    dcs.push_back(std::move(dc));
+  }
+  auto v = MakeJoinView(persons, housing, names.value());
+  ASSERT_TRUE(v.ok());
+  Table v_join = std::move(v).value();
+  size_t area_v = v_join.schema().IndexOrDie("Area");
+  for (size_t r : {0u, 1u}) {
+    v_join.SetCode(r, area_v, housing.GetCode(0, 1));
+  }
+  auto phase2 = ExecutePhase2(v_join, persons, housing, names.value(), dcs,
+                              {}, {2, 3}, {});
   ASSERT_TRUE(phase2.ok()) << phase2.status().ToString();
-  EXPECT_EQ(phase2->stats.repair_oracles, 0u);
-  EXPECT_EQ(phase2->stats.scan_probe_repairs, 1u);
-  auto report = EvaluateDcError(in.dcs, phase2->r1_hat, "hid");
+  EXPECT_EQ(phase2->stats.new_r2_tuples, 0u);
+  size_t hid = phase2->r1_hat.schema().IndexOrDie("hid");
+  EXPECT_EQ(phase2->r1_hat.GetCode(0, hid), 1);
+  EXPECT_EQ(phase2->r1_hat.GetCode(1, hid), 2);
+  EXPECT_EQ(phase2->r1_hat.GetCode(2, hid), 2);  // A
+  EXPECT_EQ(phase2->r1_hat.GetCode(3, hid), 1);  // B
+  auto report = EvaluateDcError(dcs, phase2->r1_hat, "hid");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->num_violations, 0u) << report->Summary();
 }

@@ -68,8 +68,6 @@ TEST(SolverTest, AnyDegradationReadsEveryLadderCounter) {
   EXPECT_TRUE(
       degraded([](SolveStats& s) { s.phase2.biclique_overflows = 1; }));
   EXPECT_TRUE(
-      degraded([](SolveStats& s) { s.phase2.scan_probe_repairs = 1; }));
-  EXPECT_TRUE(
       degraded([](SolveStats& s) { s.phase2.shard_regenerations = 1; }));
   EXPECT_TRUE(
       degraded([](SolveStats& s) { s.phase1.ilp.cold_fallbacks = 1; }));

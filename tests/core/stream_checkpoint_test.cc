@@ -3,8 +3,9 @@
 // record, torn stream tail, injected sink/manifest fault — then resume (any
 // number of times, under any thread count and admission window), and the
 // final stream bytes and rebuilt tables are identical to an uninterrupted
-// run. Also pins the refusal cases: a manifest for a different plan and a
-// stream that contradicts committed checksums must not resume.
+// run. Also pins the refusal cases: a manifest of another version or for a
+// different plan or DC set, and a stream that contradicts committed
+// checksums, must not resume.
 
 #include <cstdio>
 #include <fstream>
@@ -200,7 +201,8 @@ TEST(StreamCheckpointTest, FreshDurableRunMatchesPlainExecutorBytes) {
   EXPECT_EQ(stats.value().manifest_commits, 10u);
 
   // The manifest's committed state covers the whole stream and says so.
-  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan);
+  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                            instance.dcs);
   ASSERT_TRUE(rp.ok()) << rp.status().ToString();
   EXPECT_TRUE(rp.value().finished);
   EXPECT_EQ(rp.value().committed_offset, reference.size());
@@ -211,9 +213,12 @@ TEST(StreamCheckpointTest, PlanDigestSeparatesPlans) {
   auto a = Prepare(instance, 7, /*seed=*/9);
   auto b = Prepare(instance, 7, /*seed=*/10);
   auto c = Prepare(instance, 3, /*seed=*/9);
-  EXPECT_NE(PlanDigest(a->plan), PlanDigest(b->plan));
-  EXPECT_NE(PlanDigest(a->plan), PlanDigest(c->plan));
-  EXPECT_EQ(PlanDigest(a->plan), PlanDigest(Prepare(instance, 7)->plan));
+  const std::vector<DenialConstraint>& dcs = instance.dcs;
+  EXPECT_NE(PlanDigest(a->plan, dcs), PlanDigest(b->plan, dcs));
+  EXPECT_NE(PlanDigest(a->plan, dcs), PlanDigest(c->plan, dcs));
+  EXPECT_EQ(PlanDigest(a->plan, dcs),
+            PlanDigest(Prepare(instance, 7)->plan, dcs));
+  EXPECT_NE(PlanDigest(a->plan, dcs), PlanDigest(a->plan, {dcs[0]}));
 }
 
 // The exhaustive crash-window sweep. A crash can leave (manifest, stream) in
@@ -248,7 +253,8 @@ TEST(StreamCheckpointTest, ResumeFromEveryTruncationCutIsByteIdentical) {
     // What does this prefix commit? (Validated against the full stream.)
     WriteFileBytes(manifest_path, manifest_prefix);
     WriteFileBytes(stream_path, reference);
-    auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan);
+    auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                              instance.dcs);
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
     ASSERT_LE(rp.value().committed_offset, reference.size());
 
@@ -291,7 +297,8 @@ TEST(StreamCheckpointTest, TornStreamTailIsTruncatedOnResume) {
   const std::string manifest_prefix = full_manifest.substr(0, 24 + 64 + 70);
   WriteFileBytes(manifest_path, manifest_prefix);
   WriteFileBytes(stream_path, reference);
-  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan);
+  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                            instance.dcs);
   ASSERT_TRUE(rp.ok()) << rp.status().ToString();
   const uint64_t committed = rp.value().committed_offset;
   ASSERT_LT(committed, reference.size());
@@ -444,7 +451,8 @@ TEST(StreamCheckpointTest, ResumeRefusesManifestForDifferentPlan) {
                   .ok());
 
   auto other = Prepare(instance, 5, /*seed=*/10);
-  auto rp = LoadResumePoint(stream_path, manifest_path, other->plan);
+  auto rp = LoadResumePoint(stream_path, manifest_path, other->plan,
+                            instance.dcs);
   ASSERT_FALSE(rp.ok());
   EXPECT_EQ(rp.status().code(), StatusCode::kInvalidArgument);
 
@@ -452,6 +460,56 @@ TEST(StreamCheckpointTest, ResumeRefusesManifestForDifferentPlan) {
   auto stats = ExecutePlanDurable(other->prepared, MakeOptions(1, 0), spec);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(StreamCheckpointTest, ResumeRefusesManifestForDifferentDcSet) {
+  // The plan does not depend on the DCs, so only the manifest digest can
+  // tell that a resumed run would replay a stream colored under other DCs.
+  Instance instance = MakeInstance();
+  auto planned = Prepare(instance, 5);
+  const std::string stream_path = TempPath("wrongdcs.stream");
+  const std::string manifest_path = TempPath("wrongdcs.manifest");
+  DurableStreamSpec spec;
+  spec.stream_path = stream_path;
+  spec.manifest_path = manifest_path;
+  ASSERT_TRUE(ExecutePlanDurable(planned->prepared, MakeOptions(1, 0), spec)
+                  .ok());
+  const std::string stream = ReadFileBytes(stream_path);
+  const std::string manifest = ReadFileBytes(manifest_path);
+
+  std::vector<DenialConstraint> fewer_dcs = {instance.dcs[0]};
+  auto other = PreparePlan(planned->plan, planned->v_join, instance.housing,
+                           instance.names, fewer_dcs);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  spec.resume = true;
+  auto stats = ExecutePlanDurable(other.value(), MakeOptions(1, 0), spec);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  // Refused before any byte was written.
+  EXPECT_EQ(ReadFileBytes(stream_path), stream);
+  EXPECT_EQ(ReadFileBytes(manifest_path), manifest);
+}
+
+TEST(StreamCheckpointTest, ResumeRefusesVersionOneManifest) {
+  // Version-1 manifests carry a digest that does not cover the DC set.
+  Instance instance = MakeInstance();
+  auto planned = Prepare(instance, 5);
+  const std::string stream_path = TempPath("v1.stream");
+  const std::string manifest_path = TempPath("v1.manifest");
+  DurableStreamSpec spec;
+  spec.stream_path = stream_path;
+  spec.manifest_path = manifest_path;
+  ASSERT_TRUE(ExecutePlanDurable(planned->prepared, MakeOptions(1, 0), spec)
+                  .ok());
+  std::string manifest = ReadFileBytes(manifest_path);
+  std::string version;
+  PutU32(&version, 1);
+  manifest.replace(4, 4, version);
+  WriteFileBytes(manifest_path, manifest);
+  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                            instance.dcs);
+  ASSERT_FALSE(rp.ok());
+  EXPECT_EQ(rp.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(StreamCheckpointTest, ResumeRefusesStreamThatContradictsManifest) {
@@ -470,13 +528,15 @@ TEST(StreamCheckpointTest, ResumeRefusesStreamThatContradictsManifest) {
   std::string bad = good;
   bad[bad.size() / 2] ^= 0x20;
   WriteFileBytes(stream_path, bad);
-  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan);
+  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                            instance.dcs);
   ASSERT_FALSE(rp.ok());
   EXPECT_EQ(rp.status().code(), StatusCode::kInvalidArgument);
 
   // A stream shorter than the committed offset: bytes lost after fsync.
   WriteFileBytes(stream_path, good.substr(0, good.size() / 2));
-  rp = LoadResumePoint(stream_path, manifest_path, planned->plan);
+  rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                       instance.dcs);
   ASSERT_FALSE(rp.ok());
   EXPECT_EQ(rp.status().code(), StatusCode::kInvalidArgument);
 }
@@ -485,7 +545,7 @@ TEST(StreamCheckpointTest, MissingManifestIsAFreshRun) {
   Instance instance = MakeInstance();
   auto planned = Prepare(instance, 5);
   auto rp = LoadResumePoint(TempPath("nope.stream"), TempPath("nope.manifest"),
-                            planned->plan);
+                            planned->plan, instance.dcs);
   ASSERT_TRUE(rp.ok());
   EXPECT_FALSE(rp.value().header_committed);
   EXPECT_EQ(rp.value().resume.first_shard, 0u);
@@ -522,8 +582,8 @@ TEST(StreamCheckpointTest, ManifestMatchesDocumentedLayout) {
   ASSERT_GE(m.size(), 24u);
   EXPECT_EQ(m.substr(0, 4), "CXMF");
   pos = 4;
-  EXPECT_EQ(le(4), 1u);
-  const uint64_t digest = PlanDigest(planned->plan);
+  EXPECT_EQ(le(4), 2u);
+  const uint64_t digest = PlanDigest(planned->plan, instance.dcs);
   EXPECT_EQ(le(8), digest);
   const uint64_t num_shards = planned->plan.num_shards();
   EXPECT_EQ(le(8), num_shards);

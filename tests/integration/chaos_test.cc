@@ -93,8 +93,8 @@ void ExpectVerifierClean(const Instance& instance, const Solution& solution,
 // All registered fault points (kept in sync with util/fault_injection.h).
 const char* const kFaultSites[] = {
     "oracle.build",     "oracle.pair_budget",    "simplex.refactor",
-    "simplex.iteration_cap", "dual.warm_start",  "phase2.repair_oracle",
-    "pool.alloc",       "shard.emit",
+    "simplex.iteration_cap", "dual.warm_start",  "pool.alloc",
+    "shard.emit",
 };
 
 class ChaosSweepTest

@@ -11,8 +11,10 @@ within the flag's range prints usage and exits 2 before anything runs.
 
 Three owners share two houses under a one-owner-per-house DC. A baseline
 therefore always violates it, and so does a hybrid stream written without
-the DC: the manifest binds the plan, and the plan does not depend on the
-DCs, so `--resume` under the stricter spec replays that stream unchanged.
+the DC. The manifest binds the plan and the DC set, so `--resume` under the
+stricter spec is refused up front; only a manifest re-sealed for that spec
+(header digest and record checksums rewritten) makes the CLI replay the
+violating stream, which the output check must then catch.
 
 Usage: cli_output_check_test.py, with CEXTEND_CLI naming the built
 cextend_cli binary.
@@ -20,6 +22,7 @@ cextend_cli binary.
 
 import os
 import re
+import struct
 import subprocess
 import tempfile
 import unittest
@@ -42,6 +45,38 @@ CC = 'cc chicago: COUNT(Area = "Chicago") = 6\n'
 DC = 'dc one_owner: !(t0.Rel = "Owner" & t1.Rel = "Owner")\n'
 
 VIOLATIONS_RE = re.compile(r"^DC error: .* (\d+) violations\)$", re.M)
+
+MASK64 = (1 << 64) - 1
+
+
+def mix_hash64(x):
+    """MixHash64(0, x) of src/util/hash.h."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def fnv1a(data):
+    h = 0xcbf29ce484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & MASK64
+    return h
+
+
+def reseal_manifest(manifest, digest):
+    """Rewrites a CXMF manifest (layout in src/core/stream_checkpoint.h) to
+    claim `digest`: the header field and every record checksum."""
+    out = bytearray(manifest[:8]) + struct.pack("<Q", digest) + manifest[16:24]
+    pos, index = 24, 0
+    while pos < len(manifest):
+        (num_colors,) = struct.unpack_from("<I", manifest, pos + 52)
+        body = manifest[pos:pos + 56 + 12 * num_colors]
+        out += body + struct.pack("<Q",
+                                  mix_hash64(fnv1a(body) ^ digest ^ index))
+        pos += len(body) + 8
+        index += 1
+    return bytes(out)
 
 
 class CliTestCase(unittest.TestCase):
@@ -84,10 +119,36 @@ class CliOutputCheckTest(CliTestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertEqual(self.violations(proc), 0)
 
+    def read(self, name):
+        with open(os.path.join(self.dir, name), "rb") as f:
+            return f.read()
+
+    def test_resume_under_another_dc_set_is_refused(self):
+        first = self.run_cli("cc_only.txt", "--stream-out=out.stream")
+        self.assertEqual(first.returncode, 0, first.stderr)
+        os.remove(os.path.join(self.dir, "r1_hat.csv"))
+        stream = self.read("out.stream")
+
+        resumed = self.run_cli("cc_dc.txt", "--stream-out=out.stream",
+                               "--resume")
+        self.assertEqual(resumed.returncode, 1, resumed.stdout)
+        self.assertIn("different plan or DC set", resumed.stderr)
+        self.assertEqual(self.read("out.stream"), stream)
+        self.assertFalse(os.path.exists(os.path.join(self.dir, "r1_hat.csv")))
+
     def test_hybrid_violation_fails_the_run(self):
         first = self.run_cli("cc_only.txt", "--stream-out=out.stream")
         self.assertEqual(first.returncode, 0, first.stderr)
         os.remove(os.path.join(self.dir, "r1_hat.csv"))
+        # The stricter spec's digest, taken from a run under it.
+        strict = self.run_cli("cc_dc.txt", "--stream-out=strict.stream")
+        self.assertEqual(strict.returncode, 0, strict.stderr)
+        os.remove(os.path.join(self.dir, "r1_hat.csv"))
+        (digest,) = struct.unpack_from("<Q",
+                                       self.read("strict.stream.manifest"), 8)
+        resealed = reseal_manifest(self.read("out.stream.manifest"), digest)
+        with open(os.path.join(self.dir, "out.stream.manifest"), "wb") as f:
+            f.write(resealed)
 
         resumed = self.run_cli("cc_dc.txt", "--stream-out=out.stream",
                                "--resume")
