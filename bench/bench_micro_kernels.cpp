@@ -41,7 +41,8 @@ namespace {
 //
 // One census-shaped partition: Rel/Age/ML/G columns with the paper's DC
 // shapes — an owner-owner clique DC (no cross atoms), an age-gap ordering
-// DC, and an equality-bucketed group DC. This is the phase-2 hot path.
+// DC, and an equality-bucketed group DC. The group DC shares pairs with the
+// age-gap DC, so both materialize pairs. This is the phase-2 hot path.
 
 struct PartitionFixture {
   Table table;
@@ -172,6 +173,57 @@ void BM_ConflictBuildImplicitClique(benchmark::State& state) {
 }
 BENCHMARK(BM_ConflictBuildImplicitClique)
     ->Arg(4096)->Arg(16384)->Arg(65536)->Complexity();
+
+void BM_ConflictBuildThresholdDc(benchmark::State& state) {
+  // A census age-gap partition: owners and children under a .low/.high
+  // pair of one-ordering-atom DCs (DC1-style) next to an owner-owner
+  // biclique. Both age-gap DCs land in the threshold layer — key-sorted
+  // sides, O(n log n) build — where materializing them would emit a dense
+  // share of the owner x child pairs.
+  size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(31);
+  Schema schema{{"Rel", DataType::kString}, {"Age", DataType::kInt64}};
+  Table t{schema};
+  for (size_t i = 0; i < n; ++i) {
+    const bool owner = i % 4 == 0;
+    CEXTEND_CHECK(t.AppendRow({Value(owner ? "Owner" : "Child"),
+                               Value(owner ? rng.UniformInt(20, 90)
+                                           : rng.UniformInt(0, 60))})
+                      .ok());
+  }
+  std::vector<DenialConstraint> dcs;
+  {
+    DenialConstraint dc(2, "owner-owner");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
+    dcs.push_back(std::move(dc));
+  }
+  for (int side = 0; side < 2; ++side) {
+    DenialConstraint dc(2, side == 0 ? "child.low" : "child.high");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Child"));
+    if (side == 0) {
+      dc.Binary(1, "Age", CompareOp::kLt, 0, "Age", -69);
+    } else {
+      dc.Binary(1, "Age", CompareOp::kGt, 0, "Age", -12);
+    }
+    dcs.push_back(std::move(dc));
+  }
+  auto bound = BindAll(dcs, t);
+  CEXTEND_CHECK(bound.ok());
+  std::vector<uint32_t> rows(n);
+  for (uint32_t i = 0; i < n; ++i) rows[i] = i;
+  for (auto _ : state) {
+    auto oracle = PartitionConflictOracle::Build(t, bound.value(), rows);
+    CEXTEND_CHECK(oracle.ok());
+    CEXTEND_CHECK(oracle->num_threshold_dcs() == 2 &&
+                  oracle->num_materialized_pairs() == 0);
+    benchmark::DoNotOptimize(oracle->CountEdges());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ConflictBuildThresholdDc)
+    ->Arg(1024)->Arg(4096)->Arg(16384)->Complexity();
 
 // ---- Phase-I signature kernels: repair selection and the final fill. ----
 //

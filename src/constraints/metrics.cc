@@ -361,4 +361,31 @@ StatusOr<size_t> CountJoinMismatches(
   return mismatches;
 }
 
+StatusOr<size_t> CountUnreferencedFreshTuples(const Table& r1,
+                                              const std::string& fk_column,
+                                              const Table& r2,
+                                              const std::string& k2_column,
+                                              size_t first_new_row) {
+  auto fk_idx = r1.schema().IndexOf(fk_column);
+  if (!fk_idx.has_value())
+    return Status::InvalidArgument("no FK column " + fk_column);
+  auto k2_idx = r2.schema().IndexOf(k2_column);
+  if (!k2_idx.has_value())
+    return Status::InvalidArgument("no key column " + k2_column);
+  if (first_new_row > r2.NumRows()) {
+    return Status::InvalidArgument("first_new_row past the end of r2");
+  }
+  std::vector<int64_t> referenced(r1.ColumnCodes(*fk_idx));
+  std::sort(referenced.begin(), referenced.end());
+  size_t unreferenced = 0;
+  for (size_t r = first_new_row; r < r2.NumRows(); ++r) {
+    const int64_t key = r2.GetCode(r, *k2_idx);
+    if (key == kNullCode ||
+        !std::binary_search(referenced.begin(), referenced.end(), key)) {
+      ++unreferenced;
+    }
+  }
+  return unreferenced;
+}
+
 }  // namespace cextend

@@ -78,6 +78,16 @@ StatusOr<size_t> CountJoinMismatches(const Table& r1,
                                      const Table& v_join,
                                      const std::vector<std::string>& b_columns);
 
+/// Counts the R2 tuples the solver added (rows `first_new_row` onward of
+/// `r2`) whose key no `r1` row references through `fk_column`. Phase II
+/// mints a tuple only for a key some row takes, so a solver output has
+/// none; a non-zero count means orphan tuples inflate `new_r2_tuples`.
+StatusOr<size_t> CountUnreferencedFreshTuples(const Table& r1,
+                                              const std::string& fk_column,
+                                              const Table& r2,
+                                              const std::string& k2_column,
+                                              size_t first_new_row);
+
 }  // namespace cextend
 
 #endif  // CEXTEND_CONSTRAINTS_METRICS_H_

@@ -10,7 +10,9 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace cextend {
 namespace {
@@ -205,6 +207,37 @@ void BuildSideMask(const Table& table, const BoundDenialConstraint& dc,
   non_null_sweep(plan.other);
 }
 
+/// Packs a 0/1 side mask into (n + 63) / 64 membership words.
+std::vector<uint64_t> PackMask(const std::vector<uint8_t>& mask) {
+  std::vector<uint64_t> words((mask.size() + 63) / 64);
+  for (size_t w = 0; w < words.size(); ++w) {
+    const size_t end = std::min(mask.size(), 64 * w + 64);
+    uint64_t bits = 0;
+    for (size_t i = 64 * w; i < end; ++i) {
+      bits |= static_cast<uint64_t>(mask[i] != 0) << (i & 63);
+    }
+    words[w] = bits;
+  }
+  return words;
+}
+
+bool TestBit(const std::vector<uint64_t>& words, size_t i) {
+  return ImplicitBicliqueFamily::TestBit(words.data(), i);
+}
+
+bool Intersects(const std::vector<uint64_t>& a,
+                const std::vector<uint64_t>& b) {
+  for (size_t w = 0; w < a.size(); ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
+bool AnyBit(const std::vector<uint64_t>& words) {
+  return std::any_of(words.begin(), words.end(),
+                     [](uint64_t w) { return w != 0; });
+}
+
 uint64_t PackPair(size_t u, size_t v) {
   if (u > v) std::swap(u, v);
   return (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);
@@ -215,6 +248,138 @@ uint64_t PackPair(size_t u, size_t v) {
 /// biclique instead of materialized pairs.
 bool IsProductDc(const BinaryDcPlan& plan) {
   return plan.eq.empty() && plan.ord.empty() && plan.other.empty();
+}
+
+/// One binary DC of a partition: its plan and packed side masks, plus, for
+/// a threshold candidate, the half-line its atom confines
+/// d = code(v, v_col) - code(u, u_col) to.
+struct BinarySides {
+  BinaryDcPlan plan;
+  std::vector<uint64_t> side0;
+  std::vector<uint64_t> side1;
+  bool has_pairs = false;  // both sides non-empty
+  /// One ordering atom across the pair and nothing else, and every side
+  /// member's key (code + adjustment) fits in int64: the DC's conflict set
+  /// is a ThresholdLayer threshold, and the half-line below is exact.
+  bool threshold_shape = false;
+  __int128 d_lo = 0;
+  __int128 d_hi = 0;
+};
+
+/// Evaluates BinarySides::threshold_shape and the half-line of `b`.
+void ClassifyThreshold(const Table& table, const std::vector<uint32_t>& rows,
+                       BinarySides* b) {
+  const BinaryDcPlan& plan = b->plan;
+  if (!plan.eq.empty() || !plan.other.empty() || plan.ord.size() != 1) return;
+  const OrientedAtom& a = plan.ord[0];
+  auto keys_fit = [&](const std::vector<uint64_t>& side, size_t col,
+                      int64_t adj) {
+    const int64_t* codes = table.ColumnCodes(col).data();
+    int64_t key;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (TestBit(side, i) && __builtin_add_overflow(codes[rows[i]], adj, &key)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!keys_fit(b->side0, a.u_col, a.u_adj) ||
+      !keys_fit(b->side1, a.v_col, a.v_adj)) {
+    return;
+  }
+  // code(u) + u_adj  op  code(v) + v_adj  <=>  c op d, c = u_adj - v_adj.
+  constexpr __int128 kInf = static_cast<__int128>(1) << 100;
+  const __int128 c = static_cast<__int128>(a.u_adj) - a.v_adj;
+  b->d_lo = -kInf;
+  b->d_hi = kInf;
+  switch (a.op) {
+    case CompareOp::kLt:  // d > c
+      b->d_lo = c + 1;
+      break;
+    case CompareOp::kLe:  // d >= c
+      b->d_lo = c;
+      break;
+    case CompareOp::kGt:  // d < c
+      b->d_hi = c - 1;
+      break;
+    case CompareOp::kGe:  // d <= c
+      b->d_hi = c;
+      break;
+    default:
+      return;
+  }
+  b->threshold_shape = true;
+}
+
+/// False only when the side masks (or, for two thresholds on the same
+/// columns, their disjoint half-lines) rule out an unordered pair that
+/// conflicts under both `a` and `b`: the pair would need a vertex in
+/// a.side0 ∩ b.side0 and one in a.side1 ∩ b.side1 (same orientation), or
+/// one in a.side0 ∩ b.side1 and one in a.side1 ∩ b.side0 (crossed).
+bool MayShareAPair(const BinarySides& a, const BinarySides& b) {
+  if (Intersects(a.side0, b.side1) && Intersects(a.side1, b.side0)) {
+    return true;  // crossed
+  }
+  if (!Intersects(a.side0, b.side0) || !Intersects(a.side1, b.side1)) {
+    return false;
+  }
+  const bool disjoint_half_lines =
+      a.threshold_shape && b.threshold_shape &&
+      a.plan.ord[0].u_col == b.plan.ord[0].u_col &&
+      a.plan.ord[0].v_col == b.plan.ord[0].v_col &&
+      (a.d_hi < b.d_lo || b.d_hi < a.d_lo);
+  return !disjoint_half_lines;
+}
+
+/// The threshold-layer admission rule: admitted[i] = 1 for a
+/// threshold-shaped DC with two non-empty disjoint sides that shares no
+/// pair with any other binary DC of the partition, whatever path that DC
+/// takes. Its pairs are then covered once, so union degrees stay exact by
+/// adding range sizes.
+std::vector<uint8_t> AdmitThresholds(const std::vector<BinarySides>& binary) {
+  const size_t k = binary.size();
+  std::vector<uint8_t> admitted(k, 0);
+  for (size_t i = 0; i < k; ++i) {
+    const BinarySides& b = binary[i];
+    admitted[i] = b.threshold_shape && b.has_pairs &&
+                  !Intersects(b.side0, b.side1);
+  }
+  // Overlap is symmetric, so each pair is judged once; a pair needs judging
+  // only while one of the two could still be admitted.
+  for (size_t i = 0; i < k; ++i) {
+    if (!binary[i].has_pairs) continue;
+    for (size_t j = i + 1; j < k; ++j) {
+      if (binary[j].has_pairs && (admitted[i] || admitted[j]) &&
+          MayShareAPair(binary[i], binary[j])) {
+        admitted[i] = admitted[j] = 0;
+      }
+    }
+  }
+  return admitted;
+}
+
+/// Adds an admitted threshold DC to `layer`: side keys are the oriented
+/// atom's UKey / VKey, and `UKey op VKey` becomes `below key < above key`
+/// (<= when op is not strict). `keyed0` / `keyed1` are scratch buffers.
+void AddThresholdDc(const Table& table, const std::vector<uint32_t>& rows,
+                    const BinarySides& b, ThresholdLayer* layer,
+                    std::vector<ThresholdLayer::KeyedVertex>* keyed0,
+                    std::vector<ThresholdLayer::KeyedVertex>* keyed1) {
+  const OrientedAtom& a = b.plan.ord[0];
+  keyed0->clear();
+  keyed1->clear();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint32_t v = static_cast<uint32_t>(i);
+    if (TestBit(b.side0, i)) keyed0->push_back({a.UKey(table, rows[i]), v});
+    if (TestBit(b.side1, i)) keyed1->push_back({a.VKey(table, rows[i]), v});
+  }
+  const bool u_below = a.op == CompareOp::kLt || a.op == CompareOp::kLe;
+  const bool strict = a.op == CompareOp::kLt || a.op == CompareOp::kGt;
+  if (u_below) {
+    layer->AddThreshold(*keyed0, *keyed1, strict);
+  } else {
+    layer->AddThreshold(*keyed1, *keyed0, strict);
+  }
 }
 
 /// Pairs emitted before the next charge against the shared budget counter;
@@ -232,9 +397,10 @@ constexpr size_t kBudgetChargeChunk = 1 << 16;
 /// (total raw emission vs. max_materialized_pairs) matches the old
 /// cumulative serial check while keeping concurrent runs' combined memory
 /// near the budget.
-Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
-                         const BinaryDcPlan& plan,
+Status EmitBinaryDcPairs(const Table& table, const BinaryDcPlan& plan,
                          const std::vector<uint32_t>& rows,
+                         const std::vector<uint64_t>& in0,
+                         const std::vector<uint64_t>& in1,
                          size_t max_materialized_pairs,
                          const RunControl& run_control,
                          std::atomic<size_t>* global_emitted,
@@ -243,13 +409,10 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
   if (n < 2) return Status::Ok();
   CEXTEND_RETURN_IF_ERROR(run_control.Check());
 
-  std::vector<uint8_t> in0, in1;
-  BuildSideMask(table, dc, plan, rows, 0, &in0);
-  BuildSideMask(table, dc, plan, rows, 1, &in1);
   std::vector<uint32_t> side0, side1;
   for (size_t i = 0; i < n; ++i) {
-    if (in0[i]) side0.push_back(static_cast<uint32_t>(i));
-    if (in1[i]) side1.push_back(static_cast<uint32_t>(i));
+    if (TestBit(in0, i)) side0.push_back(static_cast<uint32_t>(i));
+    if (TestBit(in1, i)) side1.push_back(static_cast<uint32_t>(i));
   }
   if (side0.empty() || side1.empty()) return Status::Ok();
 
@@ -279,8 +442,8 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
   // known in closed form, so an over-budget product bails out before
   // reserving or pushing anything.
   if (IsProductDc(plan)) {
-    uint64_t both = 0;  // vertices eligible on both sides
-    for (size_t i = 0; i < n; ++i) both += in0[i] && in1[i] ? 1 : 0;
+    // Vertices eligible on both sides.
+    const uint64_t both = simd::AndPopcount(in0.data(), in1.data(), in0.size());
     // s0*s1 ordered pairs, minus the `both` diagonal hits, minus the
     // C(both, 2) mirror duplicates the loop skips.
     uint64_t emitted = static_cast<uint64_t>(side0.size()) *
@@ -292,7 +455,9 @@ Status EmitBinaryDcPairs(const Table& table, const BoundDenialConstraint& dc,
     pairs->reserve(pairs->size() + static_cast<size_t>(emitted));
     for (uint32_t u : side0) {
       for (uint32_t v : side1) {
-        if (v == u || (v < u && in0[v] && in1[u])) continue;
+        if (v == u || (v < u && TestBit(in0, v) && TestBit(in1, u))) {
+          continue;
+        }
         pairs->push_back(PackPair(u, v));
       }
     }
@@ -470,35 +635,72 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   size_t n = oracle.rows_.size();
   oracle.implicit_ = ImplicitBicliqueFamily(n);
 
-  // Pass 1 (serial, O(n) per DC): split binary DCs into implicitly held
-  // product DCs and indexed DCs whose pairs get materialized.
-  std::vector<const BoundDenialConstraint*> indexed_dcs;
-  std::vector<BinaryDcPlan> indexed_plans;
-  std::vector<uint8_t> in0, in1;
+  // Pass 1 (serial, O(n) per DC): side masks of every binary DC, then each
+  // DC's path — an implicit biclique (no cross atoms), the threshold layer
+  // (one ordering atom, admitted by AdmitThresholds), or materialized pairs.
+  // With fewer than two vertices no DC has a pair.
+  std::vector<BinarySides> binary;
+  binary.reserve(dcs.size());
+  std::vector<uint8_t> mask;
   for (const BoundDenialConstraint& dc : dcs) {
-    if (dc.arity() != 2) continue;
-    BinaryDcPlan plan = PlanBinaryDc(dc);
-    if (IsProductDc(plan) && n >= 2) {
+    if (dc.arity() != 2 || n < 2) continue;
+    BinarySides b{PlanBinaryDc(dc), {}, {}};
+    BuildSideMask(table, dc, b.plan, oracle.rows_, 0, &mask);
+    b.side0 = PackMask(mask);
+    BuildSideMask(table, dc, b.plan, oracle.rows_, 1, &mask);
+    b.side1 = PackMask(mask);
+    b.has_pairs = AnyBit(b.side0) && AnyBit(b.side1);
+    if (b.has_pairs) ClassifyThreshold(table, oracle.rows_, &b);
+    binary.push_back(std::move(b));
+  }
+  const std::vector<uint8_t> admitted = AdmitThresholds(binary);
+  oracle.threshold_ = ThresholdLayer(n);
+  size_t threshold_members = 0;
+  for (size_t i = 0; i < binary.size(); ++i) {
+    if (!admitted[i]) continue;
+    const BinarySides& b = binary[i];
+    threshold_members += simd::Popcount(b.side0.data(), b.side0.size()) +
+                         simd::Popcount(b.side1.data(), b.side1.size());
+  }
+  oracle.threshold_.Reserve(threshold_members);
+  std::vector<ThresholdLayer::KeyedVertex> keyed0, keyed1;
+  std::vector<const BinarySides*> indexed;
+  for (size_t i = 0; i < binary.size(); ++i) {
+    BinarySides& b = binary[i];
+    if (IsProductDc(b.plan)) {
       if (oracle.implicit_.num_bicliques() <
           ImplicitBicliqueFamily::kMaxBicliques) {
         // No cross atoms: the conflict set is the side0 x side1 product.
-        // Keep it implicit — O(n) bits instead of Θ(|side0|·|side1|) pairs,
-        // and it never touches the materialized-pair budget.
-        BuildSideMask(table, dc, plan, oracle.rows_, 0, &in0);
-        BuildSideMask(table, dc, plan, oracle.rows_, 1, &in1);
-        bool any0 = std::find(in0.begin(), in0.end(), uint8_t{1}) != in0.end();
-        bool any1 = std::find(in1.begin(), in1.end(), uint8_t{1}) != in1.end();
-        if (any0 && any1) oracle.implicit_.AddBiclique(in0, in1);
+        // Keep it implicit — O(n) bits instead of Θ(|side0|·|side1|) pairs.
+        if (b.has_pairs) {
+          oracle.implicit_.AddBicliqueWords(std::move(b.side0),
+                                            std::move(b.side1));
+        }
         continue;
       }
       // Implicit→materialized rung: the family is full, so this product DC
       // joins the indexed path and pays the pair budget like any other DC.
       ++oracle.biclique_overflows_;
+    } else if (admitted[i]) {
+      AddThresholdDc(table, oracle.rows_, b, &oracle.threshold_, &keyed0,
+                     &keyed1);
+      continue;
+    } else if (!b.has_pairs) {
+      continue;
     }
-    indexed_dcs.push_back(&dc);
-    indexed_plans.push_back(std::move(plan));
+    indexed.push_back(&b);
   }
   oracle.implicit_.Finalize();
+  oracle.threshold_.Finalize();
+  // The threshold layer holds O(n) words per admitted DC; it is resident
+  // while the pairs are emitted, so it opens the shared budget counter (one
+  // 64-bit word ≈ one materialized pair).
+  const size_t threshold_words = oracle.threshold_.StorageWords();
+  if (threshold_words > options.max_materialized_pairs) {
+    return Status::ResourceExhausted(
+        StrFormat("threshold layer exceeds the pair budget (%zu)",
+                  options.max_materialized_pairs));
+  }
 
   // Pass 2: per-DC pair emission, fanned out on the thread pool when one is
   // supplied. Each DC emits into a private run, which is then sorted and
@@ -508,18 +710,18 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   // in the old cumulative serial check): every run charges the shared
   // counter in chunks, so concurrent runs' combined memory stays near the
   // budget rather than a per-run multiple of it.
-  std::vector<std::vector<uint64_t>> runs(indexed_dcs.size());
-  std::vector<Status> run_status(indexed_dcs.size(), Status::Ok());
-  std::atomic<size_t> total_emitted{0};
-  ParallelFor(options.pool, indexed_dcs.size(), [&](size_t i) {
+  std::vector<std::vector<uint64_t>> runs(indexed.size());
+  std::vector<Status> run_status(indexed.size(), Status::Ok());
+  std::atomic<size_t> total_emitted{threshold_words};
+  ParallelFor(options.pool, indexed.size(), [&](size_t i) {
     // Chunk-start check: a tripped deadline/cancel skips the emission work
     // and surfaces after the (deterministic) status sweep below.
     run_status[i] = options.run_control.Check();
     if (!run_status[i].ok()) return;
-    run_status[i] =
-        EmitBinaryDcPairs(table, *indexed_dcs[i], indexed_plans[i],
-                          oracle.rows_, options.max_materialized_pairs,
-                          options.run_control, &total_emitted, &runs[i]);
+    run_status[i] = EmitBinaryDcPairs(
+        table, indexed[i]->plan, oracle.rows_, indexed[i]->side0,
+        indexed[i]->side1, options.max_materialized_pairs,
+        options.run_control, &total_emitted, &runs[i]);
     std::sort(runs[i].begin(), runs[i].end());
     runs[i].erase(std::unique(runs[i].begin(), runs[i].end()), runs[i].end());
   });
@@ -531,9 +733,7 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
       return st;
     }
   }
-  for (size_t i = 0; i < indexed_dcs.size(); ++i) {
-    CEXTEND_RETURN_IF_ERROR(run_status[i]);
-  }
+  for (const Status& st : run_status) CEXTEND_RETURN_IF_ERROR(st);
   std::vector<uint64_t> pairs = MergeSortedRuns(std::move(runs));
   // The implicit layer normally stores O(K · n) bits, but pathologically
   // overlapping product DCs can mint up to n distinct signature groups, each
@@ -548,10 +748,17 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   oracle.adjacency_ =
       AdjacencyGraph::FromSortedUniquePairs(n, std::move(pairs));
 
-  // Union simple-graph degrees over (implicit ∪ CSR); hypergraph degrees
-  // stack on top, matching the brute-force oracle's accounting.
+  // Union simple-graph degrees over (implicit ∪ CSR); threshold pairs are
+  // in no other layer (AdmitThresholds), so their range sizes add on, and
+  // hypergraph degrees stack on top, matching the brute-force oracle's
+  // accounting.
   size_t pair_edges =
-      oracle.implicit_.UnionDegrees(oracle.adjacency_, &oracle.degrees_);
+      oracle.implicit_.UnionDegrees(oracle.adjacency_, &oracle.degrees_) +
+      oracle.threshold_.num_edges();
+  if (!oracle.threshold_.empty()) {
+    for (size_t v = 0; v < n; ++v)
+      oracle.degrees_[v] += oracle.threshold_.Degree(v);
+  }
   if (oracle.higher_ != nullptr) {
     for (size_t v = 0; v < n; ++v)
       oracle.degrees_[v] += oracle.higher_->Degree(v);
@@ -575,6 +782,7 @@ void PartitionConflictOracle::AppendForbiddenColors(
   // Implicit neighbors may overlap the CSR run; duplicate appends are legal
   // per the ConflictOracle contract (the coloring epoch-marks them away).
   implicit_.AppendForbiddenColors(v, colors, out);
+  threshold_.AppendForbiddenColors(v, colors, out);
   if (higher_ != nullptr) higher_->AppendForbiddenColors(v, colors, out);
 }
 
@@ -667,6 +875,13 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     const Table& table, const std::vector<BoundDenialConstraint>& dcs,
     std::vector<uint32_t> rows, const ConflictOracleOptions& options,
     BuildOracleInfo* info) {
+  BuildOracleInfo local_info;
+  if (info == nullptr) info = &local_info;
+  struct ChargeCpu {
+    BuildOracleInfo* info;
+    double start;
+    ~ChargeCpu() { info->oracle_build_seconds = ThreadCpuSeconds() - start; }
+  } charge_cpu{info, ThreadCpuSeconds()};
   // Hyperedges are enumerated once up front and shared: a cap failure here
   // is terminal (the naive oracle would hit the identical cap), and a
   // later kResourceExhausted from the indexed build can only mean the pair
@@ -682,9 +897,8 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
         PartitionConflictOracle::BuildWithHypergraph(table, dcs, rows,
                                                      options, higher);
     if (indexed.ok()) {
-      if (info != nullptr) {
-        info->biclique_overflows = indexed.value().num_biclique_overflows();
-      }
+      info->biclique_overflows = indexed.value().num_biclique_overflows();
+      info->max_partition_pairs = indexed.value().num_materialized_pairs();
       std::unique_ptr<PartitionOracle> oracle =
           std::make_unique<PartitionConflictOracle>(
               std::move(indexed).value());
@@ -695,7 +909,7 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     }
     // Pair budget exceeded: fall back to the O(n) memory brute-force oracle.
   }
-  if (info != nullptr) info->naive_fallback = true;
+  info->naive_fallback = true;
   CEXTEND_ASSIGN_OR_RETURN(
       NaiveConflictOracle naive,
       NaiveConflictOracle::BuildWithHypergraph(table, dcs, std::move(rows),

@@ -8,17 +8,27 @@
 //    with no cross-tuple atoms (owner-owner style, whose conflict set is the
 //    full side-0 x side-1 product) are kept *implicit*: only the two
 //    membership bitsets are stored (ImplicitBicliqueFamily), so clique-style
-//    partitions cost O(n) memory instead of Θ(n²) materialized pairs. Every
-//    other binary DC is indexed: side-0/side-1 matching vertices are
-//    bucketed by the codes of the columns appearing in its cross-atom
-//    equality predicates (hash buckets), each bucket is sorted by the first
-//    ordering atom's key (sorted runs for < / <= / > / >=), and adjacency is
-//    materialized per bucket instead of per pair, deduplicated into a CSR
-//    AdjacencyGraph. Degrees, edge counts, forbidden colors and pair queries
-//    compose the (implicit ∪ CSR ∪ hypergraph) union with simple-graph
+//    partitions cost O(n) memory instead of Θ(n²) materialized pairs.
+//    Binary DCs whose only cross atom is one ordering atom (the census
+//    age-gap DCs, `t1.Age < t0.Age - 69`) go to the *threshold layer*
+//    (ThresholdLayer): each side sorted by its key, a vertex's neighbours
+//    one key range of the other side, O(n) memory. A DC is admitted there
+//    only when its sides are disjoint and its side masks rule out sharing a
+//    pair with every other binary DC of the partition (two ordering DCs on
+//    the same columns whose ranges of `v - u` do not meet, like DC1.low and
+//    DC1.high, never share one), so its range sizes add to the other
+//    layers' degrees exactly. Every other binary DC is indexed:
+//    side-0/side-1 matching vertices are bucketed by the codes of the
+//    columns appearing in its cross-atom equality predicates (hash
+//    buckets), each bucket is sorted by the first ordering atom's key
+//    (sorted runs for < / <= / > / >=), and adjacency is materialized per
+//    bucket instead of per pair, deduplicated into a CSR AdjacencyGraph.
+//    Degrees, edge counts, forbidden colors and pair queries compose the
+//    (implicit ∪ CSR ∪ threshold ∪ hypergraph) union with simple-graph
 //    semantics, identical to one deduplicated all-pairs scan. Construction
-//    is O(n) per implicit DC and O(n log n + E) per indexed DC instead of
-//    the brute-force O(n^2 * |DC|) all-pairs CrossAtomsHold scan.
+//    is O(n) per implicit DC, O(n log n) per threshold DC and
+//    O(n log n + E) per indexed DC instead of the brute-force
+//    O(n^2 * |DC|) all-pairs CrossAtomsHold scan.
 //
 //  * NaiveConflictOracle: the reference brute-force implementation (side
 //    masks + on-the-fly pair tests). Kept behind the same interface so tests
@@ -55,6 +65,8 @@ struct ConflictOracleOptions {
   /// cross atoms) never materialize pairs; their bitset storage is charged
   /// against this budget word-for-word (normally a few n/64-word bitsets,
   /// i.e. negligible), so adversarial signature blowups also fall back.
+  /// The threshold layer's words (a few per side member) are charged the
+  /// same way, into the counter the pair emission then continues.
   size_t max_materialized_pairs = 32'000'000;
   /// Optional worker pool for *within-partition* parallel construction: each
   /// indexed binary DC emits (and sorts) its pair run as an independent
@@ -76,6 +88,12 @@ struct BuildOracleInfo {
   /// Product DCs that overflowed ImplicitBicliqueFamily::kMaxBicliques and
   /// were materialized as pairs instead (implicit→materialized rung).
   size_t biclique_overflows = 0;
+  /// Thread CPU time of the build, fallback included (ThreadCpuSeconds; work
+  /// fanned out to ConflictOracleOptions::pool is not in it).
+  double oracle_build_seconds = 0.0;
+  /// Deduplicated pairs the built oracle materialized in its CSR layer (0
+  /// for the naive oracle, which stores none).
+  size_t max_partition_pairs = 0;
 };
 
 /// ConflictOracle plus the pair query and edge count of one partition
@@ -122,12 +140,13 @@ class PartitionConflictOracle final : public PartitionOracle {
   /// coloring can run its incremental fast path; forbidden semantics are
   /// exactly the union of the three layers.
   ConflictStructure Structure() const override {
-    return {&adjacency_, &implicit_, higher_.get()};
+    return {&adjacency_, &implicit_, higher_.get(), &threshold_};
   }
 
   // PartitionOracle:
   bool PairConflicts(size_t u, size_t v) const override {
-    return adjacency_.HasEdge(u, v) || implicit_.PairConflicts(u, v);
+    return adjacency_.HasEdge(u, v) || implicit_.PairConflicts(u, v) ||
+           threshold_.PairConflicts(u, v);
   }
   size_t CountEdges() const override { return num_edges_; }
 
@@ -135,6 +154,8 @@ class PartitionConflictOracle final : public PartitionOracle {
 
   /// Binary DCs held as implicit bicliques (no materialized pairs).
   size_t num_implicit_bicliques() const { return implicit_.num_bicliques(); }
+  /// Binary DCs held in the threshold layer (no materialized pairs).
+  size_t num_threshold_dcs() const { return threshold_.num_thresholds(); }
   /// Deduplicated pairs actually materialized in the CSR layer.
   size_t num_materialized_pairs() const { return adjacency_.num_edges(); }
   /// Product DCs materialized because the implicit family was full.
@@ -146,9 +167,10 @@ class PartitionConflictOracle final : public PartitionOracle {
   std::vector<uint32_t> rows_;
   AdjacencyGraph adjacency_;  // deduplicated binary-DC edges (indexed DCs)
   ImplicitBicliqueFamily implicit_;  // no-cross-atom binary DCs, O(n) bits
+  ThresholdLayer threshold_;  // admitted one-ordering-atom DCs, O(n) words
   // Arity >= 3 edges (local vertex ids); shareable with a fallback oracle.
   std::shared_ptr<const Hypergraph> higher_;
-  std::vector<int64_t> degrees_;  // (implicit ∪ CSR) + hypergraph degrees
+  std::vector<int64_t> degrees_;  // (implicit ∪ CSR) + threshold + hyper
   size_t num_edges_ = 0;          // binary + hyper, cached
   size_t biclique_overflows_ = 0; // product DCs forced onto the pair path
 };

@@ -68,6 +68,11 @@ struct Phase2Stats {
   /// full. Every rung preserves bit-identical output.
   size_t naive_oracle_fallbacks = 0;
   size_t biclique_overflows = 0;
+  /// Conflict-oracle builds (partitions and repair groups): summed thread
+  /// CPU time, and the most CSR pairs any single oracle materialized — the
+  /// term that dominates phase-II memory when it is large.
+  double oracle_build_seconds = 0.0;
+  size_t max_partition_pairs = 0;
   /// Kept for existing readers of the stats: repair has no scan-probe rung
   /// (an oracle build over a cap fails the run), so this is always 0.
   size_t scan_probe_repairs = 0;

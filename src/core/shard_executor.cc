@@ -23,8 +23,11 @@ namespace {
 /// ColoringLF over `oracle` from `candidates`, resuming from `*colors`
 /// (empty = all uncolored, else one entry per vertex), then Algorithm 4's
 /// fresh-color pass: the |s| skipped vertices are colored from |s| keys
-/// minted by `*next_fresh`, iterated in the (k-ary) corner case where skips
-/// remain. Every minted key is a new R2 tuple. `*colors` receives the final
+/// starting at `*next_fresh`, iterated in the (k-ary) corner case where
+/// skips remain. Greedy takes key f_j only once f_0..f_{j-1} are forbidden,
+/// i.e. taken by neighbours, so the keys used are a prefix of the |s|;
+/// `*next_fresh` advances past that prefix only, and every key it passes is
+/// a new R2 tuple some row references. `*colors` receives the final
 /// coloring; returns the skips summed over all passes.
 size_t ColorWithFreshKeys(const PartitionOracle& oracle,
                           const std::vector<int64_t>& candidates,
@@ -34,11 +37,17 @@ size_t ColorWithFreshKeys(const PartitionOracle& oracle,
   size_t skipped = coloring.skipped.size();
   while (!coloring.skipped.empty()) {
     std::vector<int64_t> fresh(coloring.skipped.size());
-    for (int64_t& key : fresh) key = (*next_fresh)++;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      fresh[i] = *next_fresh + static_cast<int64_t>(i);
+    }
     ListColoringResult next =
         GreedyListColoring(oracle, std::move(coloring.colors), fresh);
     CEXTEND_CHECK(next.skipped.size() < coloring.skipped.size())
         << "fresh-color pass must make progress";
+    for (int v : coloring.skipped) {
+      const int64_t key = next.colors[static_cast<size_t>(v)];
+      if (key != kNoColor) *next_fresh = std::max(*next_fresh, key + 1);
+    }
     coloring = std::move(next);
     skipped += coloring.skipped.size();
   }
@@ -362,6 +371,9 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
     }
     if (build_info.naive_fallback) ++out.naive_oracle_fallbacks;
     out.biclique_overflows += build_info.biclique_overflows;
+    out.oracle_build_seconds += build_info.oracle_build_seconds;
+    out.max_partition_pairs =
+        std::max(out.max_partition_pairs, build_info.max_partition_pairs);
     out.blocks.push_back(std::move(block));
   }
   return out;
@@ -485,6 +497,9 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
           st.stats.skipped_vertices += retire.skipped_vertices;
           st.stats.naive_oracle_fallbacks += retire.naive_oracle_fallbacks;
           st.stats.biclique_overflows += retire.biclique_overflows;
+          st.stats.oracle_build_seconds += retire.oracle_build_seconds;
+          st.stats.max_partition_pairs = std::max(
+              st.stats.max_partition_pairs, retire.max_partition_pairs);
           ++st.stats.shards_emitted;
           Status consumed = sink->Consume(resolved);
           st.resident_bytes -= st.charged[st.next_retire];
@@ -567,6 +582,9 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       ++stats.repair_oracle_rebuilds;
       if (build_info.naive_fallback) ++stats.naive_oracle_fallbacks;
       stats.biclique_overflows += build_info.biclique_overflows;
+      stats.oracle_build_seconds += build_info.oracle_build_seconds;
+      stats.max_partition_pairs =
+          std::max(stats.max_partition_pairs, build_info.max_partition_pairs);
       const int64_t first_fresh = next_key;
       ColorWithFreshKeys(*oracle, prepared.combos.keys(combo_id), &colors,
                          &next_key);

@@ -62,6 +62,8 @@ struct ShardOutput {
   size_t skipped_vertices = 0;
   size_t naive_oracle_fallbacks = 0;
   size_t biclique_overflows = 0;
+  double oracle_build_seconds = 0.0;
+  size_t max_partition_pairs = 0;
 
   /// Estimated resident footprint, for the executor's memory accounting.
   size_t ApproxBytes() const;

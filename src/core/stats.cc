@@ -35,6 +35,9 @@ std::string SolveStats::Summary() const {
       phase1.ccs_to_ilp, phase1.fill.leftover_bins, phase1.fill.free_lists,
       invalid_tuples, repair_signatures, phase2.new_r2_tuples,
       phase2.skipped_vertices, phase2.repair_oracles);
+  out += StrFormat(" oracle(build=%s max_pairs=%zu)",
+                   FormatDuration(phase2.oracle_build_seconds).c_str(),
+                   phase2.max_partition_pairs);
   out += StrFormat(" mem(peak_resident=%zuB shards=%zu inflight_hwm=%zu)",
                    phase2.peak_resident_bytes, phase2.shards_emitted,
                    phase2.max_shards_in_flight);

@@ -22,7 +22,10 @@ namespace cextend {
 namespace {
 
 constexpr char kManifestMagic[4] = {'C', 'X', 'M', 'F'};
-constexpr uint32_t kManifestVersion = 2;
+/// Version 3: shards mint only the fresh keys their coloring uses, so a
+/// version-2 stream's records (tuples, next key) would not match the shards
+/// this code re-emits after them.
+constexpr uint32_t kManifestVersion = 3;
 /// kind + shard id + end offset + range checksum + next key + rows + tuples
 /// + color count (colors and the trailing record checksum follow).
 constexpr size_t kRecordFixedBytes = 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4;

@@ -28,7 +28,7 @@
 //
 // Manifest layout:
 //
-//   "CXMF" | u32 version=2 | u64 plan_digest | u64 num_shards
+//   "CXMF" | u32 version=3 | u64 plan_digest | u64 num_shards
 //   record*:
 //     u32 kind (0 = stream header, 1 = shard, 2 = finish)
 //     u64 shard_id            (kind 1: 0..num_shards, num_shards = repair)

@@ -65,17 +65,6 @@ ImplicitBicliqueFamily::ImplicitBicliqueFamily(size_t num_vertices)
       words_((num_vertices + 63) / 64),
       padded_words_(simd::PadWords((num_vertices + 63) / 64)) {}
 
-void ImplicitBicliqueFamily::AddBiclique(const std::vector<uint8_t>& side0,
-                                         const std::vector<uint8_t>& side1) {
-  CEXTEND_CHECK(side0.size() == n_ && side1.size() == n_);
-  std::vector<uint64_t> w0(words_, 0), w1(words_, 0);
-  for (size_t i = 0; i < n_; ++i) {
-    if (side0[i]) w0[i >> 6] |= uint64_t{1} << (i & 63);
-    if (side1[i]) w1[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-  AddBicliqueWords(std::move(w0), std::move(w1));
-}
-
 void ImplicitBicliqueFamily::AddBicliqueWords(std::vector<uint64_t> side0,
                                               std::vector<uint64_t> side1) {
   CEXTEND_CHECK(!finalized_) << "AddBiclique after Finalize";
@@ -217,6 +206,119 @@ size_t ImplicitBicliqueFamily::UnionDegrees(const AdjacencyGraph& csr,
     degree_sum += deg;
   }
   return degree_sum / 2;
+}
+
+// ---- ThresholdLayer. ----
+
+ThresholdLayer::ThresholdLayer(size_t num_vertices) : n_(num_vertices) {}
+
+void ThresholdLayer::AddThreshold(std::span<KeyedVertex> below,
+                                  std::span<KeyedVertex> above,
+                                  bool strict) {
+  CEXTEND_CHECK(!finalized_) << "AddThreshold after Finalize";
+  auto by_key_then_vertex = [](const KeyedVertex& a, const KeyedVertex& b) {
+    return a.key != b.key ? a.key < b.key : a.vertex < b.vertex;
+  };
+  std::sort(below.begin(), below.end(), by_key_then_vertex);
+  std::sort(above.begin(), above.end(), by_key_then_vertex);
+  CEXTEND_CHECK(pool_.size() + below.size() + above.size() <= UINT32_MAX);
+  const uint32_t below_begin = static_cast<uint32_t>(pool_.size());
+  const uint32_t above_begin =
+      static_cast<uint32_t>(below_begin + below.size());
+  const uint32_t above_end = static_cast<uint32_t>(above_begin + above.size());
+  for (const KeyedVertex& kv : below) pool_.push_back(kv.vertex);
+  for (const KeyedVertex& kv : above) pool_.push_back(kv.vertex);
+
+  ++num_thresholds_;
+  auto key_less = [](const KeyedVertex& e, int64_t k) { return e.key < k; };
+  auto key_greater = [](int64_t k, const KeyedVertex& e) { return k < e.key; };
+  // A below vertex with key k meets the above keys > k (>= k when not
+  // strict): a suffix. An above vertex with key k meets the below keys < k
+  // (<= k): a prefix.
+  for (const KeyedVertex& kv : below) {
+    auto first = strict ? std::upper_bound(above.begin(), above.end(), kv.key,
+                                           key_greater)
+                        : std::lower_bound(above.begin(), above.end(), kv.key,
+                                           key_less);
+    uint32_t begin =
+        above_begin + static_cast<uint32_t>(first - above.begin());
+    if (begin == above_end) continue;
+    num_edges_ += above_end - begin;
+    staged_.push_back({kv.vertex, {begin, above_end}});
+  }
+  for (const KeyedVertex& kv : above) {
+    auto last = strict ? std::lower_bound(below.begin(), below.end(), kv.key,
+                                          key_less)
+                       : std::upper_bound(below.begin(), below.end(), kv.key,
+                                          key_greater);
+    uint32_t end = below_begin + static_cast<uint32_t>(last - below.begin());
+    if (end == below_begin) continue;
+    staged_.push_back({kv.vertex, {below_begin, end}});
+  }
+}
+
+void ThresholdLayer::Reserve(size_t members) {
+  pool_.reserve(members);
+  staged_.reserve(members);
+}
+
+void ThresholdLayer::Finalize() {
+  CEXTEND_CHECK(!finalized_);
+  finalized_ = true;
+  if (staged_.empty()) return;
+  // Counting sort by vertex; stable, so each vertex's ranges stay in
+  // threshold order.
+  offsets_.assign(n_ + 1, 0);
+  for (const Staged& m : staged_) {
+    CEXTEND_CHECK(m.vertex < n_);
+    ++offsets_[m.vertex + 1];
+  }
+  for (size_t i = 1; i <= n_; ++i) offsets_[i] += offsets_[i - 1];
+  ranges_.resize(staged_.size());
+  std::vector<size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const Staged& m : staged_) {
+    ranges_[cursor[m.vertex]++] = m.range;
+  }
+  staged_.clear();
+  staged_.shrink_to_fit();
+}
+
+bool ThresholdLayer::PairConflicts(size_t u, size_t v) const {
+  CEXTEND_DCHECK(finalized_);
+  if (u == v || ranges_.empty()) return false;
+  for (size_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
+    for (uint32_t p = ranges_[i].begin; p < ranges_[i].end; ++p) {
+      if (pool_[p] == v) return true;
+    }
+  }
+  return false;
+}
+
+int64_t ThresholdLayer::Degree(size_t v) const {
+  CEXTEND_DCHECK(finalized_);
+  if (ranges_.empty()) return 0;
+  int64_t deg = 0;
+  for (size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+    deg += ranges_[i].end - ranges_[i].begin;
+  }
+  return deg;
+}
+
+void ThresholdLayer::AppendForbiddenColors(size_t v,
+                                           const std::vector<int64_t>& colors,
+                                           std::vector<int64_t>* out) const {
+  CEXTEND_DCHECK(finalized_);
+  ForEachNeighbor(v, [&](uint32_t u) {
+    int64_t c = colors[u];
+    if (c != kUncolored) out->push_back(c);
+  });
+}
+
+size_t ThresholdLayer::StorageWords() const {
+  size_t bytes = pool_.size() * sizeof(uint32_t) +
+                 ranges_.size() * sizeof(Range) +
+                 offsets_.size() * sizeof(size_t);
+  return (bytes + 7) / 8;
 }
 
 Hypergraph::Hypergraph(size_t num_vertices) : incident_(num_vertices) {}

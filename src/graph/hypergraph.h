@@ -2,17 +2,21 @@
 // interface consumed by the greedy list-coloring algorithm.
 //
 // The paper materializes every hyperedge (NetworkX). Owner-owner style DCs
-// make partitions near-cliques with Θ(n²) edges, so this layer also provides
-// an implicit biclique representation (membership bitsets, no per-edge
-// storage) that composes with the CSR graph under union simple-graph
-// semantics; all conflict structures implement `ConflictOracle` and the
-// coloring semantics are identical regardless of representation.
+// make partitions near-cliques with Θ(n²) edges, and age-gap style DCs
+// (one ordering atom across the pair) make them dense bipartite graphs, so
+// this layer also provides two implicit representations with no per-edge
+// storage: bicliques (membership bitsets) and thresholds (key-sorted sides,
+// where a vertex's neighbours are one contiguous key range). Both compose
+// with the CSR graph under union simple-graph semantics; all conflict
+// structures implement `ConflictOracle` and the coloring semantics are
+// identical regardless of representation.
 
 #ifndef CEXTEND_GRAPH_HYPERGRAPH_H_
 #define CEXTEND_GRAPH_HYPERGRAPH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cextend {
@@ -20,21 +24,25 @@ namespace cextend {
 class AdjacencyGraph;
 class ImplicitBicliqueFamily;
 class Hypergraph;
+class ThresholdLayer;
 
-/// Optional decomposition of a conflict oracle into its three layers. When
+/// Optional decomposition of a conflict oracle into its four layers. When
 /// an oracle publishes this (all-null members mean "opaque"), its forbidden
 /// rule is guaranteed to be exactly the union of: colors of colored CSR
-/// neighbors, colors of colored implicit-biclique neighbors, and the
-/// hypergraph all-other-vertices-same-color rule. The greedy coloring uses
-/// the decomposition to run an incremental word-wise fast path instead of
-/// calling AppendForbiddenColors per vertex; results are identical.
+/// neighbors, colors of colored implicit-biclique neighbors, the
+/// hypergraph all-other-vertices-same-color rule, and colors of colored
+/// threshold neighbors. The greedy coloring uses the decomposition to run an
+/// incremental word-wise fast path instead of calling AppendForbiddenColors
+/// per vertex; results are identical.
 struct ConflictStructure {
   const AdjacencyGraph* csr = nullptr;
   const ImplicitBicliqueFamily* implicit = nullptr;
   const Hypergraph* higher = nullptr;
+  const ThresholdLayer* threshold = nullptr;
 
   bool Decomposed() const {
-    return csr != nullptr || implicit != nullptr || higher != nullptr;
+    return csr != nullptr || implicit != nullptr || higher != nullptr ||
+           threshold != nullptr;
   }
 };
 
@@ -130,14 +138,9 @@ class ImplicitBicliqueFamily {
   ImplicitBicliqueFamily() = default;
   explicit ImplicitBicliqueFamily(size_t num_vertices);
 
-  /// Adds a biclique from n-length 0/1 membership masks. Must be called
-  /// before Finalize; requires num_bicliques() < kMaxBicliques.
-  void AddBiclique(const std::vector<uint8_t>& side0,
-                   const std::vector<uint8_t>& side1);
-
-  /// As AddBiclique but from already-packed word bitsets ((n + 63) / 64
-  /// words each) — the builder's hot path packs membership bits directly
-  /// instead of round-tripping through byte masks.
+  /// Adds a biclique from packed membership bitsets ((n + 63) / 64 words
+  /// per side). Must be called before Finalize; requires num_bicliques() <
+  /// kMaxBicliques.
   void AddBicliqueWords(std::vector<uint64_t> side0,
                         std::vector<uint64_t> side1);
 
@@ -245,6 +248,107 @@ class ImplicitBicliqueFamily {
   std::vector<uint64_t> group_neighborhoods_;
   std::vector<size_t> group_popcount_;
   std::vector<uint64_t> group_signature_;  // per-group shared signature
+};
+
+/// A family of threshold bicliques over vertices 0..n-1. Threshold i has a
+/// `below` and an `above` side, each a list of (key, vertex); it contributes
+/// every pair {b, a} with b below, a above and key(b) < key(a) (strict) or
+/// key(b) <= key(a) (non-strict). Each side is kept sorted by (key, vertex),
+/// so a below vertex's neighbours are a suffix of the above side and an
+/// above vertex's a prefix of the below side: O(n) memory per threshold,
+/// nothing stored per pair. A binary DC whose only cross atom is one
+/// ordering atom (`t1.Age < t0.Age - 50`) is exactly such a threshold.
+///
+/// Degrees are plain range sizes, so the caller must guarantee that no pair
+/// is covered twice: the two sides of a threshold are disjoint, and no pair
+/// of a threshold is also a pair of another threshold or of another layer.
+/// Under that guarantee the union-simple-graph degree of a vertex is its
+/// degree in the other layers plus Degree().
+class ThresholdLayer {
+ public:
+  struct KeyedVertex {
+    int64_t key;
+    uint32_t vertex;
+  };
+
+  ThresholdLayer() = default;
+  explicit ThresholdLayer(size_t num_vertices);
+
+  /// Adds one threshold (see the class comment); sorts both sides in
+  /// place. Sides must be disjoint. Must be called before Finalize.
+  void AddThreshold(std::span<KeyedVertex> below,
+                    std::span<KeyedVertex> above, bool strict);
+
+  /// Reserves room for `members` side entries over the coming AddThreshold
+  /// calls (optional; spares small partitions the regrowth).
+  void Reserve(size_t members);
+
+  /// Builds the per-vertex membership index. Queries require a finalized
+  /// layer; AddThreshold is rejected after.
+  void Finalize();
+
+  size_t num_thresholds() const { return num_thresholds_; }
+  bool empty() const { return num_thresholds_ == 0; }
+  /// Pairs covered by the layer (no two thresholds share a pair).
+  size_t num_edges() const { return num_edges_; }
+
+  /// Whether `v` lies in one of `u`'s neighbour ranges: O(degree of u),
+  /// meant for reference checks, not for hot loops.
+  bool PairConflicts(size_t u, size_t v) const;
+
+  /// Threshold neighbours of `v`: the sum of its range sizes.
+  int64_t Degree(size_t v) const;
+
+  /// Appends colors[u] for every colored threshold neighbour u of `v`.
+  void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,
+                             std::vector<int64_t>* out) const;
+
+  /// Calls fn(u) for every threshold neighbour u of `v` (one contiguous
+  /// walk per threshold `v` has neighbours in) — the coloring fast path's
+  /// CSR-like neighbour stream, with nothing materialized.
+  template <typename Fn>
+  void ForEachNeighbor(size_t v, Fn&& fn) const {
+    if (ranges_.empty()) return;
+    for (const Range* r = ranges_.data() + offsets_[v],
+                     *end = ranges_.data() + offsets_[v + 1];
+         r != end; ++r) {
+      for (const uint32_t* p = pool_.data() + r->begin,
+                          *stop = pool_.data() + r->end;
+           p != stop; ++p) {
+        fn(*p);
+      }
+    }
+  }
+
+  /// 64-bit words the layer holds (valid after Finalize), to be charged
+  /// against an edge-memory budget like the biclique bitsets.
+  size_t StorageWords() const;
+
+ private:
+  /// A vertex's neighbour range [begin, end) in pool_ under one threshold
+  /// (a run of the other side).
+  struct Range {
+    uint32_t begin;
+    uint32_t end;
+  };
+  struct Staged {
+    uint32_t vertex;
+    Range range;
+  };
+
+  size_t n_ = 0;
+  size_t num_thresholds_ = 0;
+  size_t num_edges_ = 0;
+  bool finalized_ = false;
+  /// Every threshold's below side then above side, each sorted by
+  /// (key, vertex); only the vertex ids are kept.
+  std::vector<uint32_t> pool_;
+  /// Neighbour ranges grouped by vertex (offsets_, n + 1 entries), each
+  /// vertex's in threshold order. A membership whose range is empty has no
+  /// pair, so it is dropped. staged_ holds them until Finalize.
+  std::vector<size_t> offsets_;
+  std::vector<Range> ranges_;
+  std::vector<Staged> staged_;
 };
 
 /// Explicitly stored hypergraph (vertices 0..n-1; edges of arity >= 2).

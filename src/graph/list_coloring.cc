@@ -186,6 +186,12 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
         if (slot != kNoSlot) forbidden_mark[slot] = epoch;
       }
     }
+    if (layers.threshold != nullptr) {
+      layers.threshold->ForEachNeighbor(vv, [&](uint32_t w) {
+        uint32_t slot = slot_of[w];
+        if (slot != kNoSlot) forbidden_mark[slot] = epoch;
+      });
+    }
     if (layers.higher != nullptr) {
       hyper_forbidden.clear();
       layers.higher->AppendForbiddenColors(vv, result.colors, &hyper_forbidden);

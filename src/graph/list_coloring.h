@@ -20,8 +20,9 @@
 //    signature tests per assignment (no bitset reads) and queried in
 //    O(#candidates) per vertex. A dense implicit partition (owner-owner
 //    cliques) thus costs O(n · (G + C)) instead of O(n² ) color pushes. The
-//    CSR layer streams each vertex's materialized neighbor run; the
-//    hypergraph layer keeps its all-others-same-color rule.
+//    CSR layer streams each vertex's materialized neighbor run, the
+//    threshold layer its key ranges (the same walk, nothing materialized);
+//    the hypergraph layer keeps its all-others-same-color rule.
 //
 // Candidate values map to dense mark slots through a sorted flat array
 // (binary search) instead of a hash table; duplicate candidate values share

@@ -4,6 +4,8 @@
 #ifndef CEXTEND_UTIL_TIMER_H_
 #define CEXTEND_UTIL_TIMER_H_
 
+#include <time.h>
+
 #include <chrono>
 
 namespace cextend {
@@ -24,6 +26,16 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// CPU seconds the calling thread has used so far. Unlike wall time it does
+/// not grow while the thread waits for a core, so a stage measured with it
+/// reads the same on a busy machine; work the thread hands to a pool is not
+/// in it.
+inline double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 /// Adds the scope's wall time to an accumulator on destruction. Used to
 /// attribute time to the stages reported in the paper's Figure 13.

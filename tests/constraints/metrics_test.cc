@@ -118,6 +118,38 @@ TEST(MetricsTest, JoinMismatchesDetectsCorruption) {
   EXPECT_EQ(dangling.value(), 1u);
 }
 
+TEST(MetricsTest, UnreferencedFreshTuplesCountsOnlyAddedOrphans) {
+  PaperExample ex = MakePaperExample();
+  Table persons = SolvedPersons();
+  Table housing = ex.housing.Clone();
+  const size_t first_new_row = housing.NumRows();
+  // Original homes nobody lives in are not fresh, so they never count.
+  auto none = CountUnreferencedFreshTuples(persons, "hid", housing, "hid",
+                                           first_new_row);
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(none.value(), 0u);
+
+  // Two added tuples: key 7 is referenced by a person, key 8 by nobody.
+  ASSERT_TRUE(housing.AppendRow({Value(7), Value("Chicago")}).ok());
+  ASSERT_TRUE(housing.AppendRow({Value(8), Value("Chicago")}).ok());
+  persons.SetCode(0, persons.schema().IndexOrDie("hid"), 7);
+  auto one = CountUnreferencedFreshTuples(persons, "hid", housing, "hid",
+                                          first_new_row);
+  ASSERT_TRUE(one.ok());
+  EXPECT_EQ(one.value(), 1u);
+  // Counted from row 0, home 2 (left empty by the move) counts too.
+  auto all = CountUnreferencedFreshTuples(persons, "hid", housing, "hid", 0);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all.value(), 2u);
+
+  EXPECT_FALSE(CountUnreferencedFreshTuples(persons, "nope", housing, "hid",
+                                            first_new_row)
+                   .ok());
+  EXPECT_FALSE(CountUnreferencedFreshTuples(persons, "hid", housing, "hid",
+                                            housing.NumRows() + 1)
+                   .ok());
+}
+
 TEST(MetricsTest, TernaryDcCounted) {
   Schema schema{{"id", DataType::kInt64},
                 {"Cls", DataType::kInt64},

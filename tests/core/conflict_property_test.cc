@@ -2,10 +2,13 @@
 // brute-force NaiveConflictOracle: adjacency, degrees, edge counts, forbidden
 // colors and full greedy colorings must match exactly across
 // seeds, DC shapes (equality / ordering / != / no cross atoms / same-tuple
-// atoms / arity 3) and NULL-bearing columns.
+// atoms / arity 3, and the threshold-layer shapes in their own seeds) and
+// NULL-bearing columns.
 
 #include <algorithm>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,13 +22,23 @@
 namespace cextend {
 namespace {
 
-Table RandomTable(Rng& rng, size_t n) {
+/// Which DC shapes a seed draws. kGeneral is the broad mix: several of its
+/// DCs have a side open to every row, so they share pairs with every
+/// ordering DC and keep it off the threshold layer. kThreshold drops those
+/// and adds the threshold-layer shapes instead (age-gap .low/.high pairs,
+/// overlapping half-lines, an ordering DC under a biclique, shared sides).
+enum class DcMix { kGeneral, kThreshold };
+
+Table RandomTable(Rng& rng, size_t n, DcMix mix = DcMix::kGeneral) {
   Schema schema{{"G", DataType::kInt64},
                 {"Age", DataType::kInt64},
                 {"Rel", DataType::kString},
                 {"ML", DataType::kInt64}};
   Table t{schema};
-  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
+  // The threshold mix draws two more Rel values for its age-gap pairs.
+  const char* rels[] = {"Owner", "Spouse", "Child",
+                        "Other", "Parent", "Grandchild"};
+  const int64_t last_rel = mix == DcMix::kGeneral ? 3 : 5;
   for (size_t i = 0; i < n; ++i) {
     Value age = rng.Bernoulli(0.05)
                     ? Value::Null()
@@ -34,15 +47,88 @@ Table RandomTable(Rng& rng, size_t n) {
                                   : Value(rng.UniformInt(0, 4));
     CEXTEND_CHECK(
         t.AppendRow({g, age,
-                     Value(rels[rng.UniformInt(0, 3)]),
+                     Value(rels[rng.UniformInt(0, last_rel)]),
                      Value(rng.UniformInt(0, 1))})
             .ok());
   }
   return t;
 }
 
-std::vector<DenialConstraint> RandomDcs(Rng& rng) {
+/// The census age-gap rule as a .low/.high pair: no `member` aged outside
+/// [owner age + lo, owner age + hi]. Each DC has one ordering atom across
+/// the pair, and the two half-lines on the age difference are disjoint.
+void AddAgeGapPair(std::vector<DenialConstraint>* dcs, const char* member,
+                   int64_t lo, int64_t hi) {
+  for (int side = 0; side < 2; ++side) {
+    DenialConstraint dc(2,
+                        std::string(member) + (side == 0 ? ".low" : ".high"));
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value(member));
+    if (side == 0) {
+      dc.Binary(1, "Age", CompareOp::kLt, 0, "Age", lo);
+    } else {
+      dc.Binary(1, "Age", CompareOp::kGt, 0, "Age", hi);
+    }
+    dcs->push_back(std::move(dc));
+  }
+}
+
+/// The threshold-layer shapes of DcMix::kThreshold.
+void AddThresholdShapes(Rng& rng, std::vector<DenialConstraint>* out) {
+  std::vector<DenialConstraint>& dcs = *out;
+  // Threshold layer: a .low/.high age-gap pair on the same columns
+  // (disjoint half-lines, so both are admitted next to the bicliques).
+  AddAgeGapPair(&dcs, "Parent", -rng.UniformInt(10, 40),
+                rng.UniformInt(0, 20));
+  // Overlapping half-lines on the same columns (d < -10 and d > -40 meet):
+  // both must fall back to materialized pairs.
+  {
+    DenialConstraint low(2, "grandchild.low");
+    low.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    low.Unary(1, "Rel", CompareOp::kEq, Value("Grandchild"));
+    low.Binary(1, "Age", CompareOp::kLt, 0, "Age", -10);
+    dcs.push_back(std::move(low));
+    DenialConstraint high(2, "grandchild.high");
+    high.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    high.Unary(1, "Rel", CompareOp::kEq, Value("Grandchild"));
+    high.Binary(0, "Age", CompareOp::kLe, 1, "Age", 40);
+    dcs.push_back(std::move(high));
+  }
+  // An age-gap DC overlapping a biclique (like DC6.high under DC10): young
+  // owners x children is a product DC sharing pairs with child.high, which
+  // must then fall back; without the product it is admitted.
+  {
+    DenialConstraint dc(2, "child.high");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Child"));
+    dc.Binary(1, "Age", CompareOp::kGe, 0, "Age", -15);
+    dcs.push_back(std::move(dc));
+  }
+  if (rng.Bernoulli(0.6)) {
+    DenialConstraint dc(2, "young-owner-child");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(0, "Age", CompareOp::kLt, Value(int64_t{40}));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Child"));
+    dcs.push_back(std::move(dc));
+  }
+  // An ordering DC whose two sides share vertices (spouse vs spouse) is
+  // never admitted: a pair could then conflict in both orientations.
+  {
+    DenialConstraint dc(2, "spouse-gap");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Spouse"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Spouse"));
+    dc.Binary(1, "Age", CompareOp::kGt, 0, "Age", 25);
+    dcs.push_back(std::move(dc));
+  }
+}
+
+std::vector<DenialConstraint> RandomDcs(Rng& rng,
+                                       DcMix mix = DcMix::kGeneral) {
   std::vector<DenialConstraint> dcs;
+  // `broad` DCs have a side open to every row; the threshold mix leaves
+  // them out (see DcMix).
+  const bool broad = mix == DcMix::kGeneral;
+  if (!broad) AddThresholdShapes(rng, &dcs);
   // No cross atoms: side0 x side1 product (owner-owner style).
   {
     DenialConstraint dc(2, "owner-owner");
@@ -61,7 +147,7 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
   }
   // Equality cross atom (bucketed), written with var 1 on the left so the
   // orientation flip is exercised.
-  {
+  if (broad) {
     DenialConstraint dc(2, "same-group");
     dc.Binary(1, "G", CompareOp::kEq, 0, "G",
               rng.Bernoulli(0.5) ? 0 : 1);
@@ -77,7 +163,7 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
     dcs.push_back(std::move(dc));
   }
   // Equality + two ordering atoms: bucket, sorted run, and residual check.
-  if (rng.Bernoulli(0.7)) {
+  if (broad && rng.Bernoulli(0.7)) {
     DenialConstraint dc(2, "band");
     dc.Binary(0, "G", CompareOp::kEq, 1, "G");
     dc.Binary(0, "Age", CompareOp::kGe, 1, "Age", -20);
@@ -85,7 +171,7 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
     dcs.push_back(std::move(dc));
   }
   // Same-tuple binary atom acting as a side filter.
-  if (rng.Bernoulli(0.5)) {
+  if (broad && rng.Bernoulli(0.5)) {
     DenialConstraint dc(2, "self-filter");
     dc.Binary(0, "Age", CompareOp::kGt, 0, "G", 30);
     dc.Binary(0, "G", CompareOp::kEq, 1, "G");
@@ -94,7 +180,7 @@ std::vector<DenialConstraint> RandomDcs(Rng& rng) {
   // A binary kIn atom is degenerate (kIn is unary-only, so it never holds);
   // both oracles must agree it produces no conflicts instead of the indexed
   // one mis-planning it as an ordering atom.
-  if (rng.Bernoulli(0.3)) {
+  if (broad && rng.Bernoulli(0.3)) {
     DenialConstraint dc(2, "degenerate-in");
     dc.Unary(0, "Rel", CompareOp::kEq, Value("Other"));
     dc.Binary(0, "G", CompareOp::kIn, 1, "G");
@@ -150,13 +236,33 @@ std::multiset<int64_t> ForbiddenSet(const PartitionOracle& oracle, size_t v,
   return std::multiset<int64_t>(out.begin(), out.end());
 }
 
-class ConflictPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+struct PropertyCase {
+  DcMix mix;
+  uint64_t seed;
+};
+
+void PrintTo(const PropertyCase& c, std::ostream* os) {
+  *os << (c.mix == DcMix::kGeneral ? "general" : "threshold") << " seed "
+      << c.seed;
+}
+
+std::vector<PropertyCase> Seeds(DcMix mix) {
+  std::vector<PropertyCase> cases;
+  for (uint64_t seed = 1; seed < 13; ++seed) cases.push_back({mix, seed});
+  return cases;
+}
+
+class ConflictPropertyTest : public ::testing::TestWithParam<PropertyCase> {
+ protected:
+  DcMix mix() const { return GetParam().mix; }
+  uint64_t seed() const { return GetParam().seed; }
+};
 
 TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
-  Rng rng(GetParam());
+  Rng rng(seed());
   size_t n = 30 + static_cast<size_t>(rng.UniformInt(0, 50));
-  Table t = RandomTable(rng, n);
-  auto bound = BindAll(RandomDcs(rng), t);
+  Table t = RandomTable(rng, n, mix());
+  auto bound = BindAll(RandomDcs(rng, mix()), t);
   ASSERT_TRUE(bound.ok()) << bound.status();
 
   std::vector<uint32_t> rows;
@@ -169,6 +275,10 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
   ASSERT_TRUE(naive.ok()) << naive.status();
+  // The Parent .low/.high pair overlaps no other DC of the threshold mix.
+  if (mix() == DcMix::kThreshold) {
+    EXPECT_GE(indexed->num_threshold_dcs(), 2u);
+  }
 
   ASSERT_EQ(indexed->NumVertices(), naive->NumVertices());
   EXPECT_EQ(indexed->CountEdges(), naive->CountEdges());
@@ -210,10 +320,10 @@ TEST_P(ConflictPropertyTest, IndexedMatchesNaive) {
 }
 
 TEST_P(ConflictPropertyTest, FactoryFallbackPreservesSemantics) {
-  Rng rng(GetParam() * 977 + 5);
+  Rng rng(seed() * 977 + 5);
   size_t n = 40;
-  Table t = RandomTable(rng, n);
-  auto bound = BindAll(RandomDcs(rng), t);
+  Table t = RandomTable(rng, n, mix());
+  auto bound = BindAll(RandomDcs(rng, mix()), t);
   ASSERT_TRUE(bound.ok());
   std::vector<uint32_t> rows(n);
   for (uint32_t i = 0; i < n; ++i) rows[i] = i;
@@ -239,10 +349,10 @@ TEST_P(ConflictPropertyTest, ParallelBuildIsByteIdenticalToSerial) {
   // Within-partition parallel construction (per-DC pair runs fanned out on a
   // thread pool, merged as sorted runs) must reproduce the serial CSR
   // adjacency exactly — same neighbor arrays, not just the same semantics.
-  Rng rng(GetParam() * 31 + 7);
+  Rng rng(seed() * 31 + 7);
   size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 60));
-  Table t = RandomTable(rng, n);
-  auto bound = BindAll(RandomDcs(rng), t);
+  Table t = RandomTable(rng, n, mix());
+  auto bound = BindAll(RandomDcs(rng, mix()), t);
   ASSERT_TRUE(bound.ok());
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < n; ++i) {
@@ -298,10 +408,10 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
   // AppendForbiddenColors reference path — from scratch and when resuming a
   // partial coloring, where the fast path has to seed its index from
   // `initial`.
-  Rng rng(GetParam() * 613 + 11);
+  Rng rng(seed() * 613 + 11);
   size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 60));
-  Table t = RandomTable(rng, n);
-  auto bound = BindAll(RandomDcs(rng), t);
+  Table t = RandomTable(rng, n, mix());
+  auto bound = BindAll(RandomDcs(rng, mix()), t);
   ASSERT_TRUE(bound.ok());
   std::vector<uint32_t> rows;
   for (uint32_t i = 0; i < n; ++i) {
@@ -338,7 +448,9 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictPropertyTest,
-                         ::testing::Range<uint64_t>(1, 13));
+                         ::testing::ValuesIn(Seeds(DcMix::kGeneral)));
+INSTANTIATE_TEST_SUITE_P(ThresholdSeeds, ConflictPropertyTest,
+                         ::testing::ValuesIn(Seeds(DcMix::kThreshold)));
 
 TEST(FlatPoolBudgetTest, EntryPoolChargeTriggersNaiveFallback) {
   // The flattened indexed build materializes one contiguous Entry pool (3
@@ -427,6 +539,127 @@ TEST(ImplicitCliqueTest, CliquePartitionBuildsWithoutMaterializedPairs) {
   EXPECT_TRUE(coloring.skipped.empty());
   std::set<int64_t> distinct(coloring.colors.begin(), coloring.colors.end());
   EXPECT_EQ(distinct.size(), n);
+}
+
+TEST(ThresholdLayerTest, AgeGapPartitionBuildsWithoutMaterializedPairs) {
+  // A census-style partition (n = 4096 owners and children, one age-gap
+  // .low/.high pair) builds its oracle in O(n) memory: both DCs land in the
+  // threshold layer, no pair is materialized and the naive oracle is not
+  // needed, even with a pair budget far below the millions of conflicts.
+  constexpr size_t n = 4096;
+  Schema schema{{"Rel", DataType::kString}, {"Age", DataType::kInt64}};
+  Table t{schema};
+  Rng rng(4096);
+  for (size_t i = 0; i < n; ++i) {
+    const bool owner = i % 4 == 0;
+    ASSERT_TRUE(t.AppendRow({Value(owner ? "Owner" : "Child"),
+                             Value(owner ? rng.UniformInt(20, 90)
+                                         : rng.UniformInt(0, 60))})
+                    .ok());
+  }
+  std::vector<DenialConstraint> dcs;
+  AddAgeGapPair(&dcs, "Child", -40, -15);
+  auto bound = BindAll(dcs, t);
+  ASSERT_TRUE(bound.ok());
+  std::vector<uint32_t> rows(n);
+  for (uint32_t i = 0; i < n; ++i) rows[i] = i;
+
+  ConflictOracleOptions tiny;
+  tiny.max_materialized_pairs = 1 << 16;
+  BuildOracleInfo info;
+  auto oracle = BuildPartitionOracle(t, bound.value(), rows, tiny, &info);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  EXPECT_FALSE(info.naive_fallback);
+  auto* indexed = dynamic_cast<PartitionConflictOracle*>(oracle->get());
+  ASSERT_NE(indexed, nullptr) << "age-gap DCs fell back to the naive oracle";
+  EXPECT_EQ(indexed->num_materialized_pairs(), 0u);
+  EXPECT_EQ(indexed->num_threshold_dcs(), 2u);
+  EXPECT_EQ(info.max_partition_pairs, 0u);
+
+  auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_GT(indexed->CountEdges(), size_t{1} << 20);
+  EXPECT_EQ(indexed->CountEdges(), naive->CountEdges());
+  for (size_t v = 0; v < n; ++v) {
+    ASSERT_EQ(indexed->Degree(v), naive->Degree(v)) << "vertex " << v;
+  }
+  std::vector<int64_t> candidates;
+  for (int64_t c = 0; c < 64; ++c) candidates.push_back(c);
+  ListColoringResult a = GreedyListColoring(*indexed, {}, candidates);
+  ListColoringResult b = GreedyListColoring(*naive, {}, candidates);
+  EXPECT_EQ(a.colors, b.colors);
+  EXPECT_EQ(a.skipped, b.skipped);
+}
+
+TEST(ThresholdLayerTest, AdmissionFollowsTheOverlapRule) {
+  // Which ordering DCs the threshold layer takes, shape by shape; every
+  // configuration must still match the naive oracle exactly.
+  Schema schema{{"Rel", DataType::kString}, {"Age", DataType::kInt64}};
+  Table t{schema};
+  const char* rels[] = {"Owner", "Parent", "Grandchild", "Child", "Spouse"};
+  for (int64_t i = 0; i < 60; ++i) {
+    ASSERT_TRUE(
+        t.AppendRow({Value(rels[i % 5]), Value((i * 37) % 90)}).ok());
+  }
+  std::vector<uint32_t> rows(60);
+  for (uint32_t i = 0; i < 60; ++i) rows[i] = i;
+  DenialConstraint owner_owner(2, "owner-owner");
+  owner_owner.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  owner_owner.Unary(1, "Rel", CompareOp::kEq, Value("Owner"));
+  DenialConstraint young_owner_child(2, "young-owner-child");
+  young_owner_child.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  young_owner_child.Unary(0, "Age", CompareOp::kLt, Value(int64_t{40}));
+  young_owner_child.Unary(1, "Rel", CompareOp::kEq, Value("Child"));
+  DenialConstraint child_high(2, "child.high");
+  child_high.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+  child_high.Unary(1, "Rel", CompareOp::kEq, Value("Child"));
+  child_high.Binary(1, "Age", CompareOp::kGe, 0, "Age", -15);
+  DenialConstraint spouse_gap(2, "spouse-gap");
+  spouse_gap.Unary(0, "Rel", CompareOp::kEq, Value("Spouse"));
+  spouse_gap.Unary(1, "Rel", CompareOp::kEq, Value("Spouse"));
+  spouse_gap.Binary(1, "Age", CompareOp::kGt, 0, "Age", 25);
+  std::vector<DenialConstraint> parent_gap, grandchild_gap;
+  AddAgeGapPair(&parent_gap, "Parent", -30, 10);
+  // Half-lines d < -10 and d > -40 meet: the pair overlaps itself.
+  AddAgeGapPair(&grandchild_gap, "Grandchild", -10, -40);
+
+  struct Case {
+    const char* label;
+    std::vector<DenialConstraint> dcs;
+    size_t thresholds;
+  };
+  auto with = [](std::vector<DenialConstraint> a,
+                 const std::vector<DenialConstraint>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const std::vector<Case> cases = {
+      {"disjoint .low/.high next to a biclique",
+       with({owner_owner}, parent_gap), 2},
+      {"overlapping half-lines fall back", with(parent_gap, grandchild_gap),
+       2},
+      {"alone, an age-gap DC is admitted", {child_high}, 1},
+      {"an age-gap DC overlapping a biclique falls back",
+       {child_high, young_owner_child}, 0},
+      {"sides sharing vertices fall back", {spouse_gap}, 0},
+  };
+  for (const Case& c : cases) {
+    auto bound = BindAll(c.dcs, t);
+    ASSERT_TRUE(bound.ok());
+    auto indexed = PartitionConflictOracle::Build(t, bound.value(), rows);
+    ASSERT_TRUE(indexed.ok()) << indexed.status();
+    EXPECT_EQ(indexed->num_threshold_dcs(), c.thresholds) << c.label;
+    auto naive = NaiveConflictOracle::Build(t, bound.value(), rows);
+    ASSERT_TRUE(naive.ok());
+    EXPECT_EQ(indexed->CountEdges(), naive->CountEdges()) << c.label;
+    for (size_t u = 0; u < rows.size(); ++u) {
+      EXPECT_EQ(indexed->Degree(u), naive->Degree(u)) << c.label;
+      for (size_t v = u + 1; v < rows.size(); ++v) {
+        EXPECT_EQ(indexed->PairConflicts(u, v), naive->PairConflicts(u, v))
+            << c.label << " pair " << u << "," << v;
+      }
+    }
+  }
 }
 
 TEST(ImplicitCliqueTest, MixedImplicitAndIndexedDegreesStaySimpleGraph) {

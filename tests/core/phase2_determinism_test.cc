@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "constraints/metrics.h"
 #include "core/phase2.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -127,6 +128,16 @@ void ExpectTablesEqual(const Table& a, const Table& b, const char* what) {
   }
 }
 
+/// Every R2 tuple phase II added is referenced by at least one R1 row: the
+/// fresh-key pass mints only the keys its coloring used.
+void ExpectEveryFreshKeyReferenced(const Instance& instance,
+                                   const Phase2Tables& tables) {
+  auto orphans = CountUnreferencedFreshTuples(
+      tables.r1_hat, "hid", tables.r2_hat, "hid", instance.housing.NumRows());
+  ASSERT_TRUE(orphans.ok()) << orphans.status();
+  EXPECT_EQ(orphans.value(), 0u);
+}
+
 TEST(Phase2DeterminismTest, SameSeedIdenticalAcrossThreadCounts) {
   Instance instance = MakeInstance();
   Phase2Tables t1 = RunAt(instance, 1);
@@ -135,8 +146,10 @@ TEST(Phase2DeterminismTest, SameSeedIdenticalAcrossThreadCounts) {
   EXPECT_GT(t1.stats.skipped_vertices, 0u);
   EXPECT_GT(t1.stats.new_r2_tuples, 0u);
   EXPECT_GT(t1.stats.invalid_rows, 0u);
+  ExpectEveryFreshKeyReferenced(instance, t1);
   for (size_t threads : {size_t{2}, size_t{8}}) {
     Phase2Tables tn = RunAt(instance, threads);
+    ExpectEveryFreshKeyReferenced(instance, tn);
     ExpectTablesEqual(t1.r1_hat, tn.r1_hat, "r1_hat");
     ExpectTablesEqual(t1.r2_hat, tn.r2_hat, "r2_hat");
     EXPECT_EQ(t1.stats.skipped_vertices, tn.stats.skipped_vertices);
@@ -162,6 +175,7 @@ TEST(Phase2DeterminismTest, RandomAssignmentMatchesAcrossThreadCounts) {
   Phase2Tables t4 = RunAt(instance, 4, /*random_assignment=*/true);
   ExpectTablesEqual(t1.r1_hat, t4.r1_hat, "r1_hat");
   ExpectTablesEqual(t1.r2_hat, t4.r2_hat, "r2_hat");
+  ExpectEveryFreshKeyReferenced(instance, t1);
 }
 
 }  // namespace

@@ -95,6 +95,63 @@ TEST(Phase2Test, NewR2TuplesCarryComboValues) {
   EXPECT_EQ(mismatches.value(), 0u);
 }
 
+TEST(Phase2Test, FreshKeysAreAllReferenced) {
+  // Two owners and two children share the one Chicago home under
+  // owner-owner and child-child DCs. Coloring seats one owner and one child
+  // in home 1 and skips the other two; the fresh pass offers two keys, but
+  // an owner and a child may share a home, so both take the first. Only
+  // that key becomes a new R2 tuple: none is left that no row references.
+  Schema persons_schema{{"pid", DataType::kInt64},
+                        {"Age", DataType::kInt64},
+                        {"Rel", DataType::kString},
+                        {"hid", DataType::kInt64}};
+  Table persons{persons_schema};
+  const char* rels[] = {"Owner", "Owner", "Child", "Child"};
+  for (int64_t pid = 1; pid <= 4; ++pid) {
+    ASSERT_TRUE(persons
+                    .AppendRow({Value(pid), Value(20 + pid), Value(rels[pid - 1]),
+                                Value::Null()})
+                    .ok());
+  }
+  Schema housing_schema{{"hid", DataType::kInt64}, {"Area", DataType::kString}};
+  Table housing{housing_schema};
+  ASSERT_TRUE(housing.AppendRow({Value(1), Value("Chicago")}).ok());
+  auto names = PairSchema::Infer(persons, housing, "pid", "hid", "hid");
+  ASSERT_TRUE(names.ok());
+  std::vector<DenialConstraint> dcs;
+  for (const char* rel : {"Owner", "Child"}) {
+    DenialConstraint dc(2, std::string(rel) + "-" + rel);
+    dc.Unary(0, "Rel", CompareOp::kEq, Value(rel));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value(rel));
+    dcs.push_back(std::move(dc));
+  }
+  auto v = MakeJoinView(persons, housing, names.value());
+  ASSERT_TRUE(v.ok());
+  Table v_join = std::move(v).value();
+  auto phase1 =
+      RunHybridPhase1(v_join, housing, names.value(), {}, dcs, HybridOptions{});
+  ASSERT_TRUE(phase1.ok()) << phase1.status();
+  auto phase2 = ExecutePhase2(v_join, persons, housing, names.value(), dcs, {},
+                              phase1->invalid_rows, {});
+  ASSERT_TRUE(phase2.ok()) << phase2.status();
+
+  EXPECT_EQ(phase2->stats.skipped_vertices, 2u);
+  EXPECT_EQ(phase2->stats.new_r2_tuples, 1u);
+  EXPECT_EQ(phase2->r2_hat.NumRows(), housing.NumRows() + 1);
+  auto orphans = CountUnreferencedFreshTuples(phase2->r1_hat, "hid",
+                                              phase2->r2_hat, "hid",
+                                              housing.NumRows());
+  ASSERT_TRUE(orphans.ok()) << orphans.status();
+  EXPECT_EQ(orphans.value(), 0u);
+  auto dc_report = EvaluateDcError(dcs, phase2->r1_hat, "hid");
+  ASSERT_TRUE(dc_report.ok());
+  EXPECT_EQ(dc_report->num_violations, 0u);
+  auto mismatches = CountJoinMismatches(phase2->r1_hat, "hid", phase2->r2_hat,
+                                        "hid", v_join, {"Area"});
+  ASSERT_TRUE(mismatches.ok()) << mismatches.status();
+  EXPECT_EQ(mismatches.value(), 0u);
+}
+
 TEST(Phase2Test, RandomAssignmentIgnoresDcs) {
   // The baseline's phase II: FK values are random candidates, so owner-owner
   // collisions appear with overwhelming probability on this crowded input.

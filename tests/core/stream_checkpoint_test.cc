@@ -512,6 +512,32 @@ TEST(StreamCheckpointTest, ResumeRefusesVersionOneManifest) {
   EXPECT_EQ(rp.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(StreamCheckpointTest, ResumeRefusesVersionTwoManifest) {
+  // Version-2 streams minted one fresh key per skipped vertex; resuming one
+  // would mix its shards with shards that mint only the keys they use.
+  Instance instance = MakeInstance();
+  auto planned = Prepare(instance, 5);
+  const std::string stream_path = TempPath("v2.stream");
+  const std::string manifest_path = TempPath("v2.manifest");
+  DurableStreamSpec spec;
+  spec.stream_path = stream_path;
+  spec.manifest_path = manifest_path;
+  ASSERT_TRUE(ExecutePlanDurable(planned->prepared, MakeOptions(1, 0), spec)
+                  .ok());
+  std::string manifest = ReadFileBytes(manifest_path);
+  std::string version;
+  PutU32(&version, 2);
+  manifest.replace(4, 4, version);
+  WriteFileBytes(manifest_path, manifest);
+  auto rp = LoadResumePoint(stream_path, manifest_path, planned->plan,
+                            instance.dcs);
+  ASSERT_FALSE(rp.ok());
+  EXPECT_EQ(rp.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rp.status().ToString().find("unsupported CXMF version 2"),
+            std::string::npos)
+      << rp.status().ToString();
+}
+
 TEST(StreamCheckpointTest, ResumeRefusesStreamThatContradictsManifest) {
   Instance instance = MakeInstance();
   auto planned = Prepare(instance, 5);
@@ -582,7 +608,7 @@ TEST(StreamCheckpointTest, ManifestMatchesDocumentedLayout) {
   ASSERT_GE(m.size(), 24u);
   EXPECT_EQ(m.substr(0, 4), "CXMF");
   pos = 4;
-  EXPECT_EQ(le(4), 2u);
+  EXPECT_EQ(le(4), 3u);
   const uint64_t digest = PlanDigest(planned->plan, instance.dcs);
   EXPECT_EQ(le(8), digest);
   const uint64_t num_shards = planned->plan.num_shards();

@@ -40,8 +40,9 @@
 // uninterrupted run.
 //
 // Every run ends with the Section 6.1 check of the output: CC error and DC
-// error are printed, and with --method=hybrid any violated DC instance makes
-// the run fail (exit 1) after the tables are written.
+// error are printed, and with --method=hybrid any violated DC instance, or
+// any new R2 tuple that no R1 row references, makes the run fail (exit 1)
+// after the tables are written.
 //
 // The spec file holds one constraint per line (see constraints/parser.h):
 //     cc chicago_owners: COUNT(Rel = "Owner" & Area = "Chicago") = 4
@@ -286,8 +287,13 @@ Status Run(const CliArgs& args) {
       EvaluateDcError(spec.dcs, solution->r1_hat, names.fk));
   std::printf("%s\n%s\n", cc_report.Summary().c_str(),
               dc_report.Summary().c_str());
-  std::printf("new R2 tuples: %zu\n",
-              solution->stats.phase2.new_r2_tuples);
+  CEXTEND_ASSIGN_OR_RETURN(
+      size_t unreferenced,
+      CountUnreferencedFreshTuples(solution->r1_hat, names.fk,
+                                   solution->r2_hat, names.key2,
+                                   r2.NumRows()));
+  std::printf("new R2 tuples: %zu (%zu unreferenced)\n",
+              solution->stats.phase2.new_r2_tuples, unreferenced);
   std::printf("%s", solution->stats.BreakdownTable().c_str());
   if (!args.stream_out.empty()) {
     std::printf("streamed %zu shards to %s (%s)\n",
@@ -303,12 +309,18 @@ Status Run(const CliArgs& args) {
     CEXTEND_RETURN_IF_ERROR(WriteCsv(solution->v_join, args.out_join));
     std::printf("wrote %s\n", args.out_join.c_str());
   }
-  // The solver promises a DC-clean output (Prop. 5.5), so a violation fails
-  // the run; the tables stay written for inspection. The baselines ignore
-  // DCs by design, so for them the report is informational.
+  // The solver promises a DC-clean output (Prop. 5.5) whose new R2 tuples
+  // are all referenced, so a violation or an orphan tuple fails the run; the
+  // tables stay written for inspection. The baselines ignore DCs by design,
+  // so for them the report is informational.
   if (args.method == "hybrid" && dc_report.num_violations > 0) {
     return Status::FailedPrecondition("output violates denial constraints: " +
                                       dc_report.Summary());
+  }
+  if (args.method == "hybrid" && unreferenced > 0) {
+    return Status::FailedPrecondition(
+        StrFormat("%zu new R2 tuples are referenced by no R1 row",
+                  unreferenced));
   }
   return Status::Ok();
 }
