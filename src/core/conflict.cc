@@ -432,38 +432,6 @@ Status EmitBinaryDcPairs(const Table& table, const BinaryDcPlan& plan,
     return prior + count > max_materialized_pairs;
   };
 
-  // Fast path: no cross atoms at all (owner-owner style DCs) — the conflict
-  // set is the full side0 x side1 product; nothing to test per pair. Such
-  // DCs are normally held implicitly (ImplicitBicliqueFamily) and never
-  // reach this function; this path only serves kMaxBicliques overflow. The
-  // predicate is symmetric here, so the mirror orientation (v in side 0,
-  // u in side 1) would emit the identical packed pair; skip it up front
-  // instead of feeding duplicates to the dedup sort. The emission count is
-  // known in closed form, so an over-budget product bails out before
-  // reserving or pushing anything.
-  if (IsProductDc(plan)) {
-    // Vertices eligible on both sides.
-    const uint64_t both = simd::AndPopcount(in0.data(), in1.data(), in0.size());
-    // s0*s1 ordered pairs, minus the `both` diagonal hits, minus the
-    // C(both, 2) mirror duplicates the loop skips.
-    uint64_t emitted = static_cast<uint64_t>(side0.size()) *
-                           static_cast<uint64_t>(side1.size()) -
-                       both - both * (both - 1) / 2;
-    // Known in closed form, so the whole product is charged (and an
-    // over-budget one bails out) before reserving or pushing anything.
-    if (charge(static_cast<size_t>(emitted))) return over_budget();
-    pairs->reserve(pairs->size() + static_cast<size_t>(emitted));
-    for (uint32_t u : side0) {
-      for (uint32_t v : side1) {
-        if (v == u || (v < u && TestBit(in0, v) && TestBit(in1, u))) {
-          continue;
-        }
-        pairs->push_back(PackPair(u, v));
-      }
-    }
-    return Status::Ok();
-  }
-
   // Flat bucket index over side 1: one contiguous Entry pool sorted by
   // (hash of the equality-atom keys, first ordering atom's key). A bucket is
   // the equal-hash run, located by binary search; the ordering atom narrows
@@ -667,38 +635,40 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   std::vector<const BinarySides*> indexed;
   for (size_t i = 0; i < binary.size(); ++i) {
     BinarySides& b = binary[i];
+    if (!b.has_pairs) continue;
     if (IsProductDc(b.plan)) {
-      if (oracle.implicit_.num_bicliques() <
+      // No cross atoms: the conflict set is the side0 x side1 product. Keep
+      // it implicit — O(n) bits instead of Θ(|side0|·|side1|) pairs. Past
+      // the family's capacity the build gives up, and BuildPartitionOracle
+      // takes its naive rung (identical answers).
+      if (oracle.implicit_.num_bicliques() ==
           ImplicitBicliqueFamily::kMaxBicliques) {
-        // No cross atoms: the conflict set is the side0 x side1 product.
-        // Keep it implicit — O(n) bits instead of Θ(|side0|·|side1|) pairs.
-        if (b.has_pairs) {
-          oracle.implicit_.AddBicliqueWords(std::move(b.side0),
-                                            std::move(b.side1));
-        }
-        continue;
+        return Status::ResourceExhausted(
+            StrFormat("more than %zu product DCs in one partition",
+                      ImplicitBicliqueFamily::kMaxBicliques));
       }
-      // Implicit→materialized rung: the family is full, so this product DC
-      // joins the indexed path and pays the pair budget like any other DC.
-      ++oracle.biclique_overflows_;
+      oracle.implicit_.AddBicliqueWords(std::move(b.side0),
+                                        std::move(b.side1));
     } else if (admitted[i]) {
       AddThresholdDc(table, oracle.rows_, b, &oracle.threshold_, &keyed0,
                      &keyed1);
-      continue;
-    } else if (!b.has_pairs) {
-      continue;
+    } else {
+      indexed.push_back(&b);
     }
-    indexed.push_back(&b);
   }
   oracle.implicit_.Finalize();
   oracle.threshold_.Finalize();
-  // The threshold layer holds O(n) words per admitted DC; it is resident
-  // while the pairs are emitted, so it opens the shared budget counter (one
-  // 64-bit word ≈ one materialized pair).
-  const size_t threshold_words = oracle.threshold_.StorageWords();
-  if (threshold_words > options.max_materialized_pairs) {
+  // The threshold layer holds O(n) words per admitted DC and the implicit
+  // layer normally O(K · n) bits, but pathologically overlapping product DCs
+  // can mint up to n signature groups, each with an n-bit neighborhood. Both
+  // are resident while the pairs are emitted, so their words open the shared
+  // budget counter (one 64-bit word ≈ one materialized pair) and the naive
+  // fallback — O(n) memory, always — still guards the worst case.
+  const size_t layer_words =
+      oracle.threshold_.StorageWords() + oracle.implicit_.StorageWords();
+  if (layer_words > options.max_materialized_pairs) {
     return Status::ResourceExhausted(
-        StrFormat("threshold layer exceeds the pair budget (%zu)",
+        StrFormat("implicit and threshold layers exceed the pair budget (%zu)",
                   options.max_materialized_pairs));
   }
 
@@ -712,7 +682,7 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   // budget rather than a per-run multiple of it.
   std::vector<std::vector<uint64_t>> runs(indexed.size());
   std::vector<Status> run_status(indexed.size(), Status::Ok());
-  std::atomic<size_t> total_emitted{threshold_words};
+  std::atomic<size_t> total_emitted{layer_words};
   ParallelFor(options.pool, indexed.size(), [&](size_t i) {
     // Chunk-start check: a tripped deadline/cancel skips the emission work
     // and surfaces after the (deterministic) status sweep below.
@@ -735,16 +705,6 @@ StatusOr<PartitionConflictOracle> PartitionConflictOracle::BuildWithHypergraph(
   }
   for (const Status& st : run_status) CEXTEND_RETURN_IF_ERROR(st);
   std::vector<uint64_t> pairs = MergeSortedRuns(std::move(runs));
-  // The implicit layer normally stores O(K · n) bits, but pathologically
-  // overlapping product DCs can mint up to n distinct signature groups, each
-  // with an n-bit neighborhood. Charge its storage (one 64-bit word ≈ one
-  // materialized pair) against the pair budget so the naive fallback — O(n)
-  // memory, always — still guards the worst case.
-  if (oracle.implicit_.StorageWords() > options.max_materialized_pairs) {
-    return Status::ResourceExhausted(
-        StrFormat("implicit biclique bitsets exceed the pair budget (%zu)",
-                  options.max_materialized_pairs));
-  }
   oracle.adjacency_ =
       AdjacencyGraph::FromSortedUniquePairs(n, std::move(pairs));
 
@@ -885,7 +845,8 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
   // Hyperedges are enumerated once up front and shared: a cap failure here
   // is terminal (the naive oracle would hit the identical cap), and a
   // later kResourceExhausted from the indexed build can only mean the pair
-  // budget, which the naive fallback does not need.
+  // budget or the implicit family's capacity, which bind only the indexed
+  // oracle.
   CEXTEND_ASSIGN_OR_RETURN(
       std::shared_ptr<const Hypergraph> higher,
       BuildHigherArity(table, dcs, rows, options.max_hyperedge_candidates,
@@ -897,7 +858,6 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
         PartitionConflictOracle::BuildWithHypergraph(table, dcs, rows,
                                                      options, higher);
     if (indexed.ok()) {
-      info->biclique_overflows = indexed.value().num_biclique_overflows();
       info->max_partition_pairs = indexed.value().num_materialized_pairs();
       std::unique_ptr<PartitionOracle> oracle =
           std::make_unique<PartitionConflictOracle>(
@@ -907,7 +867,8 @@ StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(
     if (indexed.status().code() != StatusCode::kResourceExhausted) {
       return indexed.status();
     }
-    // Pair budget exceeded: fall back to the O(n) memory brute-force oracle.
+    // Over the pair budget or the implicit family's capacity: fall back to
+    // the O(n) memory brute-force oracle.
   }
   info->naive_fallback = true;
   CEXTEND_ASSIGN_OR_RETURN(

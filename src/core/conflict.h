@@ -8,7 +8,9 @@
 //    with no cross-tuple atoms (owner-owner style, whose conflict set is the
 //    full side-0 x side-1 product) are kept *implicit*: only the two
 //    membership bitsets are stored (ImplicitBicliqueFamily), so clique-style
-//    partitions cost O(n) memory instead of Θ(n²) materialized pairs.
+//    partitions cost O(n) memory instead of Θ(n²) materialized pairs. A
+//    partition with more such DCs than the family holds (kMaxBicliques)
+//    fails the build with kResourceExhausted, like a pair-budget overrun.
 //    Binary DCs whose only cross atom is one ordering atom (the census
 //    age-gap DCs, `t1.Age < t0.Age - 69`) go to the *threshold layer*
 //    (ThresholdLayer): each side sorted by its key, a vertex's neighbours
@@ -33,7 +35,8 @@
 //  * NaiveConflictOracle: the reference brute-force implementation (side
 //    masks + on-the-fly pair tests). Kept behind the same interface so tests
 //    and benchmarks can cross-check the indexed oracle bit-for-bit, and as a
-//    fallback when materialized adjacency would exceed the pair budget.
+//    fallback when the indexed build exceeds the pair budget or the
+//    implicit family's capacity.
 //
 // DCs of arity >= 3 are expanded into an explicit hypergraph by both oracles.
 
@@ -66,7 +69,8 @@ struct ConflictOracleOptions {
   /// against this budget word-for-word (normally a few n/64-word bitsets,
   /// i.e. negligible), so adversarial signature blowups also fall back.
   /// The threshold layer's words (a few per side member) are charged the
-  /// same way, into the counter the pair emission then continues.
+  /// same way. Both layers' words open the one counter the pair emission
+  /// then continues, so layers and pairs together stay within the budget.
   size_t max_materialized_pairs = 32'000'000;
   /// Optional worker pool for *within-partition* parallel construction: each
   /// indexed binary DC emits (and sorts) its pair run as an independent
@@ -82,12 +86,10 @@ struct ConflictOracleOptions {
 /// Degradation accounting for one BuildPartitionOracle call, reported
 /// through the optional out-param so phase II can aggregate ladder stats.
 struct BuildOracleInfo {
-  /// The indexed build was abandoned (pair budget / injected fault) and the
+  /// The indexed build was abandoned (pair budget, more product DCs than
+  /// ImplicitBicliqueFamily::kMaxBicliques, or an injected fault) and the
   /// O(n)-memory naive oracle was built instead (indexed→naive rung).
   bool naive_fallback = false;
-  /// Product DCs that overflowed ImplicitBicliqueFamily::kMaxBicliques and
-  /// were materialized as pairs instead (implicit→materialized rung).
-  size_t biclique_overflows = 0;
   /// Thread CPU time of the build, fallback included (ThreadCpuSeconds; work
   /// fanned out to ConflictOracleOptions::pool is not in it).
   double oracle_build_seconds = 0.0;
@@ -125,7 +127,8 @@ class PartitionConflictOracle final : public PartitionOracle {
   /// Build with a prebuilt arity >= 3 hypergraph (may be null). Lets
   /// BuildPartitionOracle enumerate hyperedges once and share them with a
   /// naive fallback attempt; a kResourceExhausted from this overload always
-  /// means the pair budget.
+  /// means the pair budget or the implicit family's capacity, neither of
+  /// which binds the naive oracle.
   static StatusOr<PartitionConflictOracle> BuildWithHypergraph(
       const Table& table, const std::vector<BoundDenialConstraint>& dcs,
       std::vector<uint32_t> rows, const ConflictOracleOptions& options,
@@ -136,9 +139,9 @@ class PartitionConflictOracle final : public PartitionOracle {
   int64_t Degree(size_t v) const override { return degrees_[v]; }
   void AppendForbiddenColors(size_t v, const std::vector<int64_t>& colors,
                              std::vector<int64_t>* out) const override;
-  /// Publishes the (CSR, implicit, hypergraph) decomposition so the greedy
-  /// coloring can run its incremental fast path; forbidden semantics are
-  /// exactly the union of the three layers.
+  /// Publishes the (CSR, implicit, hypergraph, threshold) decomposition so
+  /// the greedy coloring can stream each layer; forbidden semantics are
+  /// exactly the union of the four layers.
   ConflictStructure Structure() const override {
     return {&adjacency_, &implicit_, higher_.get(), &threshold_};
   }
@@ -158,8 +161,6 @@ class PartitionConflictOracle final : public PartitionOracle {
   size_t num_threshold_dcs() const { return threshold_.num_thresholds(); }
   /// Deduplicated pairs actually materialized in the CSR layer.
   size_t num_materialized_pairs() const { return adjacency_.num_edges(); }
-  /// Product DCs materialized because the implicit family was full.
-  size_t num_biclique_overflows() const { return biclique_overflows_; }
 
  private:
   PartitionConflictOracle() = default;
@@ -172,7 +173,6 @@ class PartitionConflictOracle final : public PartitionOracle {
   std::shared_ptr<const Hypergraph> higher_;
   std::vector<int64_t> degrees_;  // (implicit ∪ CSR) + threshold + hyper
   size_t num_edges_ = 0;          // binary + hyper, cached
-  size_t biclique_overflows_ = 0; // product DCs forced onto the pair path
 };
 
 /// Reference brute-force oracle: per-vertex side masks, pairs tested on the
@@ -219,8 +219,8 @@ class NaiveConflictOracle final : public PartitionOracle {
 };
 
 /// Builds the indexed oracle, falling back to the naive oracle when the
-/// materialized-pair budget is exceeded or the `oracle.build` fault point
-/// fires (tests force the naive oracle that way). Both oracles answer every
+/// materialized-pair budget or the implicit family's capacity is exceeded,
+/// or the `oracle.build` fault point fires (tests force the naive oracle that way). Both oracles answer every
 /// query identically. `info`, when non-null, receives degradation
 /// accounting for the build.
 StatusOr<std::unique_ptr<PartitionOracle>> BuildPartitionOracle(

@@ -63,11 +63,9 @@ struct Phase2Stats {
   size_t repair_oracle_cache_hits = 0;
   size_t repair_oracle_rebuilds = 0;
   /// Degradation-ladder accounting (see src/core/README.md "Resilience"):
-  /// oracle builds (partition or repair) that fell back to the naive oracle,
-  /// and product DCs materialized because the implicit-biclique family was
-  /// full. Every rung preserves bit-identical output.
+  /// oracle builds (partition or repair) that fell back to the naive oracle.
+  /// The rung preserves bit-identical output.
   size_t naive_oracle_fallbacks = 0;
-  size_t biclique_overflows = 0;
   /// Conflict-oracle builds (partitions and repair groups): summed thread
   /// CPU time, and the most CSR pairs any single oracle materialized — the
   /// term that dominates phase-II memory when it is large.

@@ -370,7 +370,6 @@ StatusOr<ShardOutput> EmitShard(const PreparedPlan& prepared, size_t shard_id,
       block.rows[v] = ShardRow{p.rows[v], colors[v]};
     }
     if (build_info.naive_fallback) ++out.naive_oracle_fallbacks;
-    out.biclique_overflows += build_info.biclique_overflows;
     out.oracle_build_seconds += build_info.oracle_build_seconds;
     out.max_partition_pairs =
         std::max(out.max_partition_pairs, build_info.max_partition_pairs);
@@ -496,7 +495,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
           }
           st.stats.skipped_vertices += retire.skipped_vertices;
           st.stats.naive_oracle_fallbacks += retire.naive_oracle_fallbacks;
-          st.stats.biclique_overflows += retire.biclique_overflows;
           st.stats.oracle_build_seconds += retire.oracle_build_seconds;
           st.stats.max_partition_pairs = std::max(
               st.stats.max_partition_pairs, retire.max_partition_pairs);
@@ -581,7 +579,6 @@ StatusOr<Phase2Stats> ExecutePlan(const PreparedPlan& prepared,
       ++stats.repair_oracles;
       ++stats.repair_oracle_rebuilds;
       if (build_info.naive_fallback) ++stats.naive_oracle_fallbacks;
-      stats.biclique_overflows += build_info.biclique_overflows;
       stats.oracle_build_seconds += build_info.oracle_build_seconds;
       stats.max_partition_pairs =
           std::max(stats.max_partition_pairs, build_info.max_partition_pairs);

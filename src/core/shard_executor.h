@@ -61,7 +61,6 @@ struct ShardOutput {
   // Per-shard degradation/ladder accounting, merged at retirement.
   size_t skipped_vertices = 0;
   size_t naive_oracle_fallbacks = 0;
-  size_t biclique_overflows = 0;
   double oracle_build_seconds = 0.0;
   size_t max_partition_pairs = 0;
 

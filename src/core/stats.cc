@@ -46,17 +46,16 @@ std::string SolveStats::Summary() const {
                      phase2.resumed_shards, phase2.manifest_commits);
   }
   if (AnyDegradation()) {
-    out += StrFormat(
-        " ladder(naive=%zu biclique_overflow=%zu cold=%lld shard_regen=%zu)",
-        phase2.naive_oracle_fallbacks, phase2.biclique_overflows,
-        static_cast<long long>(phase1.ilp.cold_fallbacks),
-        phase2.shard_regenerations);
+    out += StrFormat(" ladder(naive=%zu cold=%lld shard_regen=%zu)",
+                     phase2.naive_oracle_fallbacks,
+                     static_cast<long long>(phase1.ilp.cold_fallbacks),
+                     phase2.shard_regenerations);
   }
   return out;
 }
 
 bool SolveStats::AnyDegradation() const {
-  return phase2.naive_oracle_fallbacks > 0 || phase2.biclique_overflows > 0 ||
+  return phase2.naive_oracle_fallbacks > 0 ||
          phase2.shard_regenerations > 0 || phase1.ilp.cold_fallbacks > 0;
 }
 

@@ -31,9 +31,9 @@ class ThresholdLayer;
 /// rule is guaranteed to be exactly the union of: colors of colored CSR
 /// neighbors, colors of colored implicit-biclique neighbors, the
 /// hypergraph all-other-vertices-same-color rule, and colors of colored
-/// threshold neighbors. The greedy coloring uses the decomposition to run an
-/// incremental word-wise fast path instead of calling AppendForbiddenColors
-/// per vertex; results are identical.
+/// threshold neighbors. The greedy coloring serves each layer through its
+/// own stream or index instead of calling the oracle's
+/// AppendForbiddenColors per vertex; results are identical.
 struct ConflictStructure {
   const AdjacencyGraph* csr = nullptr;
   const ImplicitBicliqueFamily* implicit = nullptr;
@@ -63,8 +63,8 @@ class ConflictOracle {
                                      const std::vector<int64_t>& colors,
                                      std::vector<int64_t>* out) const = 0;
 
-  /// Layer decomposition for the coloring fast path; default is opaque
-  /// (all-null), which forces the generic AppendForbiddenColors path.
+  /// Layer decomposition for the coloring; default is opaque (all-null),
+  /// whose forbidden colors the coloring takes from AppendForbiddenColors.
   virtual ConflictStructure Structure() const { return {}; }
 };
 
@@ -128,8 +128,8 @@ class AdjacencyGraph {
 class ImplicitBicliqueFamily {
  public:
   /// At most this many bicliques per family (signatures pack two bits per
-  /// biclique into a uint64_t); callers route further conflict sets through
-  /// an explicit representation.
+  /// biclique into a uint64_t). The indexed conflict oracle gives up on a
+  /// partition with more product DCs, which then takes the naive oracle.
   static constexpr size_t kMaxBicliques = 32;
 
   /// group_of() value for vertices in no biclique.
@@ -179,7 +179,7 @@ class ImplicitBicliqueFamily {
   }
 
   // ---- Flat layout accessors (valid after Finalize), consumed by the
-  // coloring fast path's incremental group-color index. ----
+  // coloring's incremental group-color index. ----
 
   size_t num_groups() const { return group_popcount_.size(); }
   size_t words() const { return words_; }
@@ -207,7 +207,7 @@ class ImplicitBicliqueFamily {
   /// True iff a vertex with signature `vertex_sig` lies in the neighborhood
   /// of a group with signature `group_sig`: some biclique has the group on
   /// one side and the vertex on the other. Pure register math — the coloring
-  /// fast path uses it to update its per-group color counts without reading
+  /// uses it to update its per-group color counts without reading
   /// any neighborhood bitset.
   static bool SignatureAdjacent(uint64_t group_sig, uint64_t vertex_sig) {
     constexpr uint64_t kSide0 = 0x5555555555555555ull;  // bits 2i
@@ -304,7 +304,7 @@ class ThresholdLayer {
                              std::vector<int64_t>* out) const;
 
   /// Calls fn(u) for every threshold neighbour u of `v` (one contiguous
-  /// walk per threshold `v` has neighbours in) — the coloring fast path's
+  /// walk per threshold `v` has neighbours in) — the coloring's
   /// CSR-like neighbour stream, with nothing materialized.
   template <typename Fn>
   void ForEachNeighbor(size_t v, Fn&& fn) const {

@@ -11,8 +11,8 @@ namespace {
 constexpr size_t kNotFound = static_cast<size_t>(-1);
 
 /// Adversarial implicit families can mint many signature groups; past this
-/// the O(G) per-assignment update would dominate, so the coloring falls
-/// back to the generic path (identical results, original complexity).
+/// the O(G) per-assignment update would dominate, so the family's colors
+/// are appended per vertex instead (identical results).
 constexpr size_t kMaxIndexedGroups = 256;
 
 /// Candidate values -> dense mark slots via one sorted flat array (cache
@@ -94,46 +94,24 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
   uint32_t epoch = 0;
 
   ConflictStructure layers = oracle.Structure();
+  // Sources of forbidden colors that are appended to `appended` and marked
+  // through a candidate lookup: an oracle that publishes no layers, the
+  // hypergraph layer, and an implicit family too large to index.
+  const ConflictOracle* opaque = layers.Decomposed() ? nullptr : &oracle;
   const ImplicitBicliqueFamily* implicit = layers.implicit;
   if (implicit != nullptr && implicit->num_bicliques() == 0) implicit = nullptr;
-  size_t num_groups = implicit == nullptr ? 0 : implicit->num_groups();
-  bool fast = layers.Decomposed() && num_groups <= kMaxIndexedGroups;
-
-  if (!fast) {
-    // Generic path: one oracle query per vertex.
-    std::vector<int64_t> forbidden_list;
-    for (int v : order) {
-      forbidden_list.clear();
-      oracle.AppendForbiddenColors(static_cast<size_t>(v), result.colors,
-                                   &forbidden_list);
-      ++epoch;
-      for (int64_t c : forbidden_list) {
-        size_t slot = cidx.Lookup(c);
-        // Colors outside the candidate list (e.g. assigned by an earlier
-        // pass over a different list) cannot be chosen anyway.
-        if (slot != kNotFound) forbidden_mark[slot] = epoch;
-      }
-      int64_t chosen = kNoColor;
-      for (size_t i = 0; i < num_candidates; ++i) {
-        if (forbidden_mark[cidx.rep(i)] != epoch) {
-          chosen = candidates[i];
-          break;
-        }
-      }
-      if (chosen == kNoColor) {
-        result.skipped.push_back(v);
-      } else {
-        result.colors[static_cast<size_t>(v)] = chosen;
-      }
-    }
-    return result;
+  const ImplicitBicliqueFamily* appended_implicit = nullptr;
+  if (implicit != nullptr && implicit->num_groups() > kMaxIndexedGroups) {
+    appended_implicit = implicit;
+    implicit = nullptr;
   }
+  const size_t num_groups = implicit == nullptr ? 0 : implicit->num_groups();
 
-  // Structure fast path. The implicit-biclique layer is served by an
-  // incremental index: group_count[g * C + slot] counts colored vertices
-  // inside group g's neighborhood holding candidate `slot`. Queries read one
-  // contiguous C-entry row; assignments update each adjacent group via a
-  // pure-register signature test (no neighborhood bitset is ever read).
+  // An indexed implicit family is served by an incremental index:
+  // group_count[g * C + slot] counts colored vertices inside group g's
+  // neighborhood holding candidate `slot`. Queries read one contiguous
+  // C-entry row; assignments update each adjacent group via a pure-register
+  // signature test (no neighborhood bitset is ever read).
   std::vector<uint32_t> group_count(num_groups * num_candidates, 0);
   std::vector<uint64_t> group_sig(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
@@ -165,7 +143,7 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
     }
   }
 
-  std::vector<int64_t> hyper_forbidden;
+  std::vector<int64_t> appended;
   for (int v : order) {
     size_t vv = static_cast<size_t>(v);
     ++epoch;
@@ -192,13 +170,21 @@ ListColoringResult GreedyListColoring(const ConflictOracle& oracle,
         if (slot != kNoSlot) forbidden_mark[slot] = epoch;
       });
     }
+    appended.clear();
+    if (opaque != nullptr) {
+      opaque->AppendForbiddenColors(vv, result.colors, &appended);
+    }
     if (layers.higher != nullptr) {
-      hyper_forbidden.clear();
-      layers.higher->AppendForbiddenColors(vv, result.colors, &hyper_forbidden);
-      for (int64_t c : hyper_forbidden) {
-        size_t slot = cidx.Lookup(c);
-        if (slot != kNotFound) forbidden_mark[slot] = epoch;
-      }
+      layers.higher->AppendForbiddenColors(vv, result.colors, &appended);
+    }
+    if (appended_implicit != nullptr) {
+      appended_implicit->AppendForbiddenColors(vv, result.colors, &appended);
+    }
+    for (int64_t c : appended) {
+      // Colors outside the candidate list (e.g. assigned by an earlier pass
+      // over a different list) cannot be chosen anyway.
+      size_t slot = cidx.Lookup(c);
+      if (slot != kNotFound) forbidden_mark[slot] = epoch;
     }
     int64_t chosen = kNoColor;
     size_t chosen_slot = kNotFound;

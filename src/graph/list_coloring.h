@@ -7,22 +7,23 @@
 // colors, which corresponds to inserting new tuples into R2).
 //
 // Forbidden colors are tracked with an epoch-stamped mark vector keyed by
-// candidate index (no per-vertex set rebuild). Two paths produce identical
-// colorings:
+// candidate index (no per-vertex set rebuild). One per-vertex loop serves
+// every oracle, and each source of forbidden colors has one route into it,
+// chosen from the oracle's layer decomposition (ConflictStructure):
 //
-//  * Generic: one AppendForbiddenColors call per vertex — O(sum of degrees)
-//    color pushes plus candidate lookups. Taken for oracles that publish no
-//    structure (the naive oracle) and past 256 signature groups.
-//  * Structure fast path: when the oracle publishes its layer decomposition
-//    (ConflictStructure), the implicit-biclique layer is served by an
-//    incremental group-color index — count[group][candidate] of colored
-//    vertices inside each group's neighborhood, updated in O(#groups)
-//    signature tests per assignment (no bitset reads) and queried in
-//    O(#candidates) per vertex. A dense implicit partition (owner-owner
-//    cliques) thus costs O(n · (G + C)) instead of O(n² ) color pushes. The
-//    CSR layer streams each vertex's materialized neighbor run, the
-//    threshold layer its key ranges (the same walk, nothing materialized);
-//    the hypergraph layer keeps its all-others-same-color rule.
+//  * An implicit-biclique layer with at most 256 signature groups is served
+//    by an incremental group-color index — count[group][candidate] of
+//    colored vertices inside each group's neighborhood, updated in
+//    O(#groups) signature tests per assignment (no bitset reads) and
+//    queried in O(#candidates) per vertex. A dense implicit partition
+//    (owner-owner cliques) thus costs O(n · (G + C)) instead of O(n²)
+//    color pushes.
+//  * The CSR layer streams each vertex's materialized neighbor run, the
+//    threshold layer its key ranges (the same walk, nothing materialized).
+//  * The hypergraph layer (all-others-same-color rule), an implicit layer
+//    past 256 groups, and an opaque oracle (one that publishes no layers,
+//    e.g. the naive oracle) append colors to one scratch list, which is
+//    marked through candidate lookups.
 //
 // Candidate values map to dense mark slots through a sorted flat array
 // (binary search) instead of a hash table; duplicate candidate values share

@@ -384,9 +384,9 @@ TEST_P(ConflictPropertyTest, ParallelBuildIsByteIdenticalToSerial) {
   }
 }
 
-/// Forwards every query to `inner` but publishes no layer decomposition,
-/// which sends GreedyListColoring down its generic AppendForbiddenColors
-/// path.
+/// Forwards every query to `inner` but publishes no layer decomposition, so
+/// GreedyListColoring takes every forbidden color from the oracle's
+/// AppendForbiddenColors (the opaque route).
 class OpaqueOracle : public ConflictOracle {
  public:
   explicit OpaqueOracle(const ConflictOracle& inner) : inner_(inner) {}
@@ -403,11 +403,11 @@ class OpaqueOracle : public ConflictOracle {
 };
 
 TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
-  // The coloring's structure fast path (incremental group index + CSR
-  // streaming + slot cache) must be byte-identical to the generic
-  // AppendForbiddenColors reference path — from scratch and when resuming a
-  // partial coloring, where the fast path has to seed its index from
-  // `initial`.
+  // The coloring's layered routes (incremental group index + CSR and
+  // threshold streaming through the slot cache) must be byte-identical to
+  // the opaque route, which reads every forbidden color from
+  // AppendForbiddenColors — from scratch and when resuming a partial
+  // coloring, where the layered routes seed their index from `initial`.
   Rng rng(seed() * 613 + 11);
   size_t n = 40 + static_cast<size_t>(rng.UniformInt(0, 60));
   Table t = RandomTable(rng, n, mix());
@@ -432,7 +432,7 @@ TEST_P(ConflictPropertyTest, StructureFastPathMatchesGenericReference) {
   EXPECT_EQ(fast.skipped, ref.skipped);
 
   // Resume: pre-color a random subset (including colors outside the
-  // candidate list, which neither path may ever mark).
+  // candidate list, which no route may ever mark).
   std::vector<int64_t> initial(rows.size(), kNoColor);
   for (size_t v = 0; v < rows.size(); ++v) {
     if (rng.Bernoulli(0.4)) {
@@ -730,6 +730,196 @@ TEST(ConflictPropertyFixtureTest, PaperExampleChicagoPartitionMatches) {
       EXPECT_EQ(indexed->PairConflicts(u, w), naive->PairConflicts(u, w));
     }
   }
+}
+
+/// All rows of `t` as one partition.
+std::vector<uint32_t> AllRows(const Table& t) {
+  std::vector<uint32_t> rows(t.NumRows());
+  for (uint32_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  return rows;
+}
+
+/// Colorings of `oracle` and of the naive oracle over the same rows must be
+/// identical, from scratch and when resuming a partial coloring that holds
+/// colors off the candidate list.
+void ExpectColoringMatchesNaive(const ConflictOracle& oracle, const Table& t,
+                                const std::vector<BoundDenialConstraint>& dcs,
+                                const std::vector<uint32_t>& rows, Rng& rng) {
+  auto naive = NaiveConflictOracle::Build(t, dcs, rows);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  const std::vector<int64_t> candidates = {0, 3, 6, 9, 12, 15};
+  ListColoringResult a = GreedyListColoring(oracle, {}, candidates);
+  ListColoringResult b = GreedyListColoring(*naive, {}, candidates);
+  EXPECT_EQ(a.colors, b.colors);
+  EXPECT_EQ(a.skipped, b.skipped);
+
+  std::vector<int64_t> initial(rows.size(), kNoColor);
+  for (int64_t& c : initial) {
+    if (rng.Bernoulli(0.3)) {
+      c = rng.Bernoulli(0.8)
+              ? candidates[static_cast<size_t>(rng.UniformInt(0, 5))]
+              : int64_t{1000};
+    }
+  }
+  a = GreedyListColoring(oracle, initial, candidates);
+  b = GreedyListColoring(*naive, initial, candidates);
+  EXPECT_EQ(a.colors, b.colors);
+  EXPECT_EQ(a.skipped, b.skipped);
+}
+
+TEST(ImplicitCliqueTest, ManySignatureGroupsColorLikeNaive) {
+  // Overlapping product DCs whose side 0 cuts Age and side 1 picks a G, Rel
+  // or ML value mint more than 256 signature groups; the coloring then
+  // appends the implicit layer's colors per vertex instead of indexing
+  // them, and must still color exactly like the naive oracle.
+  Rng rng(256);
+  Table t = RandomTable(rng, 900);
+  const char* rels[] = {"Owner", "Spouse", "Child", "Other"};
+  std::vector<DenialConstraint> dcs;
+  for (int64_t k = 0; k < 16; ++k) {
+    DenialConstraint dc(2, "product-" + std::to_string(k));
+    dc.Unary(0, "Age", CompareOp::kLt, Value(6 * (k + 1)));
+    switch (k % 3) {
+      case 0:
+        dc.Unary(1, "G", CompareOp::kEq, Value(k % 5));
+        break;
+      case 1:
+        dc.Unary(1, "Rel", CompareOp::kEq, Value(rels[k % 4]));
+        break;
+      default:
+        dc.Unary(1, "ML", CompareOp::kEq, Value(k % 2));
+        break;
+    }
+    dcs.push_back(std::move(dc));
+  }
+  auto bound = BindAll(dcs, t);
+  ASSERT_TRUE(bound.ok());
+  const std::vector<uint32_t> rows = AllRows(t);
+  auto oracle = PartitionConflictOracle::Build(t, bound.value(), rows);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  ASSERT_EQ(oracle->num_implicit_bicliques(), dcs.size());
+  // 256 groups is where the coloring stops indexing the implicit layer.
+  ASSERT_GT(oracle->Structure().implicit->num_groups(), 256u);
+  ExpectColoringMatchesNaive(*oracle, t, bound.value(), rows, rng);
+}
+
+/// `count` product DCs, each with pairs: owners younger than 10 + k against
+/// children. With `pairless`, one more product DC whose side 1 matches no
+/// row.
+std::vector<DenialConstraint> ProductDcs(size_t count, bool pairless) {
+  std::vector<DenialConstraint> dcs;
+  for (size_t k = 0; k < count; ++k) {
+    DenialConstraint dc(2, "young-owner-child-" + std::to_string(k));
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(0, "Age", CompareOp::kLt,
+             Value(static_cast<int64_t>(10 + k)));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Child"));
+    dcs.push_back(std::move(dc));
+  }
+  if (pairless) {
+    DenialConstraint dc(2, "nobody");
+    dc.Unary(0, "Rel", CompareOp::kEq, Value("Owner"));
+    dc.Unary(1, "Rel", CompareOp::kEq, Value("Nobody"));
+    dcs.push_back(std::move(dc));
+  }
+  return dcs;
+}
+
+TEST(ImplicitCliqueTest, ProductDcsPastTheCapFallBackToNaive) {
+  // The implicit family holds 32 bicliques. A 33rd product DC with pairs
+  // makes the indexed build give up, so the partition takes the naive
+  // oracle and colors exactly as it would; a product DC without pairs
+  // takes no biclique and so does not count.
+  Rng rng(33);
+  Table t = RandomTable(rng, 120);
+  const std::vector<uint32_t> rows = AllRows(t);
+  ASSERT_EQ(ImplicitBicliqueFamily::kMaxBicliques, 32u);
+  struct Case {
+    size_t count;
+    bool pairless;
+    bool naive;
+  };
+  for (const Case& c : {Case{32, false, false}, Case{32, true, false},
+                        Case{33, false, true}}) {
+    SCOPED_TRACE(testing::Message() << c.count << " product DCs"
+                                    << (c.pairless ? " + one pairless" : ""));
+    auto bound = BindAll(ProductDcs(c.count, c.pairless), t);
+    ASSERT_TRUE(bound.ok());
+    BuildOracleInfo info;
+    auto oracle = BuildPartitionOracle(t, bound.value(), rows, {}, &info);
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_EQ(info.naive_fallback, c.naive);
+    EXPECT_EQ(dynamic_cast<PartitionConflictOracle*>(oracle->get()) ==
+                  nullptr,
+              c.naive);
+    ExpectColoringMatchesNaive(**oracle, t, bound.value(), rows, rng);
+  }
+}
+
+/// The smallest max_materialized_pairs under which `dcs` build the indexed
+/// oracle over `rows` (binary search; the budget test is monotone).
+size_t MinIndexedBudget(const Table& t,
+                        const std::vector<BoundDenialConstraint>& dcs,
+                        const std::vector<uint32_t>& rows) {
+  size_t lo = 0, hi = size_t{1} << 24;
+  while (lo < hi) {
+    ConflictOracleOptions options;
+    options.max_materialized_pairs = lo + (hi - lo) / 2;
+    BuildOracleInfo info;
+    auto oracle = BuildPartitionOracle(t, dcs, rows, options, &info);
+    CEXTEND_CHECK(oracle.ok());
+    if (info.naive_fallback) {
+      lo = options.max_materialized_pairs + 1;
+    } else {
+      hi = options.max_materialized_pairs;
+    }
+  }
+  return lo;
+}
+
+TEST(LayerBudgetTest, ImplicitAndThresholdWordsShareOneBudget) {
+  // The threshold and implicit layers are both resident while pairs are
+  // emitted, so their words are charged against one shared budget: a
+  // budget that covers either layer alone but not both must fall back to
+  // the naive oracle.
+  Rng rng(4242);
+  Table t = RandomTable(rng, 300, DcMix::kThreshold);
+  const std::vector<uint32_t> rows = AllRows(t);
+  std::vector<DenialConstraint> thresholds;
+  AddAgeGapPair(&thresholds, "Parent", -30, 10);
+  DenialConstraint spouses(2, "spouse-spouse");
+  spouses.Unary(0, "Rel", CompareOp::kEq, Value("Spouse"));
+  spouses.Unary(1, "Rel", CompareOp::kEq, Value("Spouse"));
+  std::vector<DenialConstraint> both = thresholds;
+  both.push_back(spouses);
+
+  auto bound_thresholds = BindAll(thresholds, t);
+  auto bound_product = BindAll({spouses}, t);
+  auto bound_both = BindAll(both, t);
+  ASSERT_TRUE(bound_thresholds.ok() && bound_product.ok() && bound_both.ok());
+  auto layered = PartitionConflictOracle::Build(t, bound_both.value(), rows);
+  ASSERT_TRUE(layered.ok()) << layered.status();
+  ASSERT_EQ(layered->num_threshold_dcs(), 2u);
+  ASSERT_EQ(layered->num_implicit_bicliques(), 1u);
+  ASSERT_EQ(layered->num_materialized_pairs(), 0u);
+
+  const size_t threshold_words =
+      MinIndexedBudget(t, bound_thresholds.value(), rows);
+  const size_t implicit_words =
+      MinIndexedBudget(t, bound_product.value(), rows);
+  ASSERT_GT(threshold_words, 1u);
+  ASSERT_GT(implicit_words, 1u);
+  EXPECT_EQ(MinIndexedBudget(t, bound_both.value(), rows),
+            threshold_words + implicit_words);
+
+  ConflictOracleOptions options;
+  options.max_materialized_pairs = std::max(threshold_words, implicit_words);
+  BuildOracleInfo info;
+  auto oracle =
+      BuildPartitionOracle(t, bound_both.value(), rows, options, &info);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  EXPECT_TRUE(info.naive_fallback);
+  ExpectColoringMatchesNaive(**oracle, t, bound_both.value(), rows, rng);
 }
 
 }  // namespace

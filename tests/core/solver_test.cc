@@ -66,8 +66,6 @@ TEST(SolverTest, AnyDegradationReadsEveryLadderCounter) {
   EXPECT_TRUE(
       degraded([](SolveStats& s) { s.phase2.naive_oracle_fallbacks = 1; }));
   EXPECT_TRUE(
-      degraded([](SolveStats& s) { s.phase2.biclique_overflows = 1; }));
-  EXPECT_TRUE(
       degraded([](SolveStats& s) { s.phase2.shard_regenerations = 1; }));
   EXPECT_TRUE(
       degraded([](SolveStats& s) { s.phase1.ilp.cold_fallbacks = 1; }));
